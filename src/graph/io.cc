@@ -140,12 +140,30 @@ StatusOr<EdgeList> ReadEdgeListBinary(const std::string& path) {
   if (!in || magic != kBinaryMagic) {
     return Status::InvalidArgument("not an AMPC binary edge list: " + path);
   }
+  // Check the header's edge count against the bytes that follow before
+  // allocating, so a corrupt count cannot demand an absurd allocation.
+  const std::streamoff header_end = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff file_end = in.tellg();
+  in.seekg(header_end);
+  if (!in || file_end < header_end ||
+      m > static_cast<uint64_t>(file_end - header_end) / sizeof(Edge)) {
+    return Status::InvalidArgument("edge count " + std::to_string(m) +
+                                   " exceeds file size: " + path);
+  }
   EdgeList list;
   list.num_nodes = static_cast<int64_t>(n);
   list.edges.resize(m);
   in.read(reinterpret_cast<char*>(list.edges.data()),
           static_cast<std::streamsize>(m * sizeof(Edge)));
   if (!in) return Status::IoError("truncated binary edge list: " + path);
+  for (const Edge& e : list.edges) {
+    if (e.u >= n || e.v >= n) {
+      return Status::InvalidArgument(
+          "edge (" + std::to_string(e.u) + ", " + std::to_string(e.v) +
+          ") beyond node count " + std::to_string(n) + ": " + path);
+    }
+  }
   return list;
 }
 

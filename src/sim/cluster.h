@@ -119,13 +119,11 @@ struct ClusterConfig {
     /// client, bit-identical outputs, cost-only difference.
     bool enabled = true;
     /// Cached entries per machine (per store, and per derived-fact
-    /// cache set minted by MakeMachineCaches). Cost-only: capacity
-    /// never changes returned values, just the hit rate.
+    /// cache set minted by MakeMachineCaches), split evenly over each
+    /// cache's kv::QueryCache::kLockShards internal lock shards, each
+    /// an exact LRU. Cost-only: capacity never changes returned
+    /// values, just the hit rate.
     int64_t capacity = 1 << 16;
-    /// Internal lock shards of each cache — a concurrency knob for the
-    /// machine's worker threads, unrelated to DHT placement. Cost- and
-    /// value-neutral; any value yields identical outputs and charges.
-    int lock_shards = 8;
   };
   QueryCacheConfig query_cache;
   /// Batches DHT reads issued through MachineContext::LookupMany into one
@@ -401,9 +399,7 @@ class Cluster {
     if (config_.query_cache.enabled) {
       // Registering with the drop registry lets the fault model clear a
       // lost machine's caches (the replacement starts cold).
-      store.EnableQueryCache(config_.query_cache.capacity,
-                             config_.query_cache.lock_shards,
-                             &cache_registry_);
+      store.EnableQueryCache(config_.query_cache.capacity, &cache_registry_);
     }
     return store;
   }
@@ -418,8 +414,7 @@ class Cluster {
   kv::MachineCaches<V> MakeMachineCaches() const {
     if (!config_.query_cache.enabled) return {};
     return kv::MachineCaches<V>(config_.num_machines,
-                                config_.query_cache.capacity,
-                                config_.query_cache.lock_shards);
+                                config_.query_cache.capacity);
   }
 
   /// Per-machine byte attribution for sharded-shuffle accounting:

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -105,6 +106,29 @@ TEST_F(IoTest, CorruptBinaryRejected) {
   }
   auto read = ReadEdgeListBinary(Path("junk.bin"));
   EXPECT_FALSE(read.ok());
+}
+
+// A header claiming 2^40 edges in a 24-byte file must be rejected before
+// anything is allocated for them.
+TEST_F(IoTest, BinaryEdgeCountBeyondFileSizeRejected) {
+  {
+    std::ofstream out(Path("huge.bin"), std::ios::binary);
+    const uint64_t header[3] = {0x414d504347524148ULL, 4, uint64_t{1} << 40};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+  }
+  auto read = ReadEdgeListBinary(Path("huge.bin"));
+  EXPECT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(IoTest, BinaryEdgeBeyondNodeCountRejected) {
+  EdgeList list;
+  list.num_nodes = 3;
+  list.edges = {{0, 1}, {1, 3}};
+  ASSERT_TRUE(WriteEdgeListBinary(list, Path("over.bin")).ok());
+  auto read = ReadEdgeListBinary(Path("over.bin"));
+  EXPECT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(IoTest, CommentsAndBlankLinesIgnored) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <list>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -11,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/random.h"
 #include "common/timer.h"
 #include "kv/byte_size.h"
 #include "kv/network_model.h"
@@ -440,24 +443,26 @@ TEST(QueryCacheTest, UpdateIsReadModifyWrite) {
   EXPECT_EQ(cache.Get(3, 2), std::optional<int>(11));
 }
 
-TEST(QueryCacheTest, ConcurrentMixedOpsStayConsistent) {
-  // Run under TSAN in CI: threads race Get/Put/Update over overlapping
-  // keys of one shared cache (as a machine's worker threads do). Every
-  // value written for key k is k * 2, so any hit must read k * 2.
-  QueryCache<int64_t> cache(/*capacity=*/128, /*lock_shards=*/4);
+// Run under TSAN in CI: threads race Get/Put/Update over overlapping keys
+// of one shared cache (as a machine's worker threads do), with epochs
+// cycling through `num_epochs` so stale entries are dropped. Every value
+// written for key k is k * 2, so any hit must read k * 2.
+void RaceMixedOps(int64_t capacity, uint64_t num_epochs) {
+  QueryCache<int64_t> cache(capacity, /*lock_shards=*/4);
   std::vector<std::thread> threads;
   std::atomic<int> bad{0};
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&cache, &bad, t] {
+    threads.emplace_back([&cache, &bad, num_epochs, t] {
       for (int round = 0; round < 50; ++round) {
+        const uint64_t epoch = static_cast<uint64_t>(round) % num_epochs;
         for (uint64_t k = 0; k < 64; ++k) {
           if ((k + t) % 3 == 0) {
-            cache.Put(k, 0, static_cast<int64_t>(k) * 2);
+            cache.Put(k, epoch, static_cast<int64_t>(k) * 2);
           } else if ((k + t) % 3 == 1) {
-            cache.Update(k, 0, [k](std::optional<int64_t> cur) {
+            cache.Update(k, epoch, [k](std::optional<int64_t> cur) {
               return cur.value_or(static_cast<int64_t>(k) * 2);
             });
-          } else if (const std::optional<int64_t> hit = cache.Get(k, 0)) {
+          } else if (const std::optional<int64_t> hit = cache.Get(k, epoch)) {
             if (*hit != static_cast<int64_t>(k) * 2) bad.fetch_add(1);
           }
         }
@@ -467,6 +472,16 @@ TEST(QueryCacheTest, ConcurrentMixedOpsStayConsistent) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(bad.load(), 0);
   EXPECT_LE(cache.size(), cache.capacity());
+}
+
+TEST(QueryCacheTest, ConcurrentMixedOpsStayConsistent) {
+  RaceMixedOps(/*capacity=*/128, /*num_epochs=*/1);
+}
+
+// The same race with 64 keys over a 16-entry budget and changing epochs:
+// evictions, stale drops and index repairs all happen under contention.
+TEST(QueryCacheTest, ConcurrentEvictionsAndStaleDropsStayConsistent) {
+  RaceMixedOps(/*capacity=*/16, /*num_epochs=*/3);
 }
 
 TEST(QueryCacheTest, MachineCachesDisabledReturnsNull) {
@@ -593,6 +608,165 @@ TEST(ShardedStoreTest, ReplicationOneSnapshotIsUnchanged) {
             store.ShardBytesSnapshot());
 }
 
+// Reference model of QueryCache's contract: one exact LRU per lock
+// shard, the shard picked by Hash64(key, 0x7163616368) % shards, with
+// entries from another epoch dropped on sight.
+class LruModel {
+ public:
+  LruModel(int64_t capacity, int lock_shards) {
+    const int shards =
+        static_cast<int>(std::min<int64_t>(lock_shards, capacity));
+    per_shard_ = std::max<int64_t>(1, capacity / shards);
+    shards_.resize(shards);
+  }
+
+  std::optional<int> Get(uint64_t key, uint64_t epoch) {
+    Shard& shard = ShardFor(key);
+    const auto it = shard.entries.find(key);
+    if (it == shard.entries.end()) return std::nullopt;
+    if (it->second.epoch != epoch) {
+      Erase(shard, it);
+      return std::nullopt;
+    }
+    Touch(shard, key);
+    return it->second.value;
+  }
+
+  void Put(uint64_t key, uint64_t epoch, int value) {
+    Shard& shard = ShardFor(key);
+    const auto it = shard.entries.find(key);
+    if (it != shard.entries.end()) {
+      it->second.epoch = epoch;
+      it->second.value = value;
+      Touch(shard, key);
+      return;
+    }
+    Insert(shard, key, epoch, value);
+  }
+
+  template <typename Fn>
+  void Update(uint64_t key, uint64_t epoch, Fn&& fn) {
+    Shard& shard = ShardFor(key);
+    const auto it = shard.entries.find(key);
+    if (it != shard.entries.end() && it->second.epoch == epoch) {
+      it->second.value = fn(std::optional<int>(it->second.value));
+      Touch(shard, key);
+      return;
+    }
+    if (it != shard.entries.end()) Erase(shard, it);
+    Insert(shard, key, epoch, fn(std::nullopt));
+  }
+
+  void Clear() {
+    for (Shard& shard : shards_) shard = Shard{};
+  }
+
+  int64_t size() const {
+    int64_t total = 0;
+    for (const Shard& shard : shards_) total += shard.entries.size();
+    return total;
+  }
+  int64_t evictions() const { return evictions_; }
+
+ private:
+  struct Entry {
+    uint64_t epoch;
+    int value;
+  };
+  struct Shard {
+    std::list<uint64_t> lru;  // front = most recently used
+    std::map<uint64_t, Entry> entries;
+  };
+
+  Shard& ShardFor(uint64_t key) {
+    return shards_[Hash64(key, 0x7163616368ULL) % shards_.size()];
+  }
+  static void Touch(Shard& shard, uint64_t key) {
+    shard.lru.remove(key);
+    shard.lru.push_front(key);
+  }
+  static void Erase(Shard& shard, std::map<uint64_t, Entry>::iterator it) {
+    shard.lru.remove(it->first);
+    shard.entries.erase(it);
+  }
+  void Insert(Shard& shard, uint64_t key, uint64_t epoch, int value) {
+    shard.lru.push_front(key);
+    shard.entries[key] = Entry{epoch, value};
+    if (static_cast<int64_t>(shard.entries.size()) > per_shard_) {
+      shard.entries.erase(shard.lru.back());
+      shard.lru.pop_back();
+      ++evictions_;
+    }
+  }
+
+  int64_t per_shard_ = 1;
+  std::vector<Shard> shards_;
+  int64_t evictions_ = 0;
+};
+
+// Seeded random Get/Put/Update/Clear sequences over three epochs, with
+// more keys than fit, so the cache evicts, drops stale entries, reuses
+// freed storage and grows its index. Every returned value, the value an
+// Update sees, size() and evictions() must match the reference model
+// after every operation.
+TEST(QueryCacheTest, MatchesPerShardLruReferenceModel) {
+  for (const int64_t capacity : {1, 4, 7, 64}) {
+    for (const int lock_shards : {1, 8}) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << "capacity " << capacity << " lock_shards "
+                     << lock_shards << " seed " << seed);
+        QueryCache<int> cache(capacity, lock_shards);
+        LruModel model(capacity, lock_shards);
+        // Half small keys, half scattered 64-bit keys.
+        std::vector<uint64_t> keys;
+        for (int64_t i = 0; i < 3 * capacity + 5; ++i) {
+          keys.push_back(i % 2 == 0 ? static_cast<uint64_t>(i)
+                                    : Mix64(static_cast<uint64_t>(i)));
+        }
+        Rng rng(seed * 1000 + static_cast<uint64_t>(capacity));
+        constexpr int kOps = 6000;
+        for (int op = 0; op < kOps; ++op) {
+          const uint64_t phase_epoch = 1 + op * 3 / kOps;
+          const uint64_t epoch =
+              rng.NextBelow(4) == 0 ? 1 + rng.NextBelow(3) : phase_epoch;
+          const uint64_t key = keys[rng.NextBelow(keys.size())];
+          const int value = static_cast<int>(rng.NextBelow(1000));
+          const uint64_t kind = rng.NextBelow(1000);
+          if (kind < 2) {
+            cache.Clear();
+            model.Clear();
+          } else if (kind < 450) {
+            ASSERT_EQ(cache.Get(key, epoch), model.Get(key, epoch))
+                << "op " << op;
+          } else if (kind < 800) {
+            cache.Put(key, epoch, value);
+            model.Put(key, epoch, value);
+          } else {
+            std::optional<int> seen_cache, seen_model;
+            cache.Update(key, epoch, [&](std::optional<int> cur) {
+              seen_cache = cur;
+              return cur.value_or(value) + 1;
+            });
+            model.Update(key, epoch, [&](std::optional<int> cur) {
+              seen_model = cur;
+              return cur.value_or(value) + 1;
+            });
+            ASSERT_EQ(seen_cache, seen_model) << "op " << op;
+          }
+          ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+          ASSERT_EQ(cache.evictions(), model.evictions()) << "op " << op;
+        }
+        // Every surviving entry is still reachable.
+        for (const uint64_t key : keys) {
+          ASSERT_EQ(cache.Get(key, 3), model.Get(key, 3)) << "key " << key;
+        }
+        EXPECT_GT(model.evictions(), 0);
+      }
+    }
+  }
+}
+
 TEST(QueryCacheTest, ClearDropsEveryEntryWithoutCountingEvictions) {
   QueryCache<int> cache(/*capacity=*/64, /*lock_shards=*/4);
   for (uint64_t k = 0; k < 32; ++k) {
@@ -639,8 +813,7 @@ TEST(CacheDropRegistryTest, ExpiredCachesArePrunedNotResurrected) {
 TEST(ShardedStoreTest, EnableQueryCacheRegistersPerMachineCaches) {
   CacheDropRegistry registry;
   ShardedStore<int64_t> store(256, 4, /*seed=*/5);
-  store.EnableQueryCache(/*capacity_per_machine=*/64, /*lock_shards=*/2,
-                         &registry);
+  store.EnableQueryCache(/*capacity_per_machine=*/64, &registry);
   for (int64_t k = 0; k < 256; ++k) store.Put(k, k * 2);
   // Warm machine 1's read-through cache by hand.
   const int64_t* record = store.Lookup(10);

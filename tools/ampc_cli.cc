@@ -400,8 +400,6 @@ int DumpLintConfig(const Args& args) {
       "false = uncached historical client, cost-only");
   row("query_cache.capacity", integer(c.query_cache.capacity),
       "cost-only: hit rate, never values");
-  row("query_cache.lock_shards", integer(c.query_cache.lock_shards),
-      "cost- and value-neutral concurrency knob");
   row("batch_lookups", boolean(c.batch_lookups),
       "false = scalar trip charging, bit-identical outputs");
   row("max_batch_keys", integer(c.max_batch_keys),
