@@ -44,8 +44,8 @@ class AtomicBitmap {
   }
 
   /// Sets bit `i` and reports whether this call flipped it (false when
-  /// some earlier Set/TestAndSet already had it). The claim a sliding
-  /// queue uses to push each newly-discovered vertex exactly once.
+  /// some earlier Set/TestAndSet already had it). The claim that lets
+  /// a frontier collect each newly-discovered vertex exactly once.
   bool TestAndSet(int64_t i) {
     const uint64_t mask = uint64_t{1} << (i & kWordMask);
     return (words_[i >> kWordShift].fetch_or(

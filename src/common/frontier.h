@@ -1,15 +1,15 @@
 // The frontier engine: sparse/dense frontier representations and the
 // Beamer-style direction policy that picks between them per round
-// (ROADMAP item 3; the PaperWasp hybrid_bfs/bitmap/sliding_queue
-// pattern adapted to the AMPC cost model).
+// (the PaperWasp hybrid_bfs/bitmap pattern adapted to the AMPC cost
+// model).
 //
 // A frontier-shaped core advances a set of active vertices each
 // adaptive round. Two representations:
 //
-//  - *Sparse* (SlidingQueue): the active vertices as an explicit work
-//    list. The round costs per-vertex remote lookups through the
-//    batched/pipelined read path — cheap when the frontier is small,
-//    latency-bound when it covers most of the graph.
+//  - *Sparse*: the active vertices as an explicit, ascending work list
+//    (a plain std::vector<int64_t>). The round costs per-vertex remote
+//    lookups through the batched/pipelined read path — cheap when the
+//    frontier is small, latency-bound when it covers most of the graph.
 //  - *Dense* (common/bitmap.h AtomicBitmap): one bit per vertex. The
 //    round broadcasts the bitmap to every machine and each machine
 //    sweeps its *local* shard against it (sim::Cluster::RunPullPhase),
@@ -26,17 +26,15 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 namespace ampc {
 
 /// Which frontier representation a cluster's frontier-shaped phases
-/// use. kSparse is the legacy work-list path and reproduces the
-/// pre-frontier cost model bit-identically; kDense forces every
-/// frontier phase through the pull model; kHybrid lets FrontierPolicy
-/// choose per round.
+/// use. Every mode runs the same frontier engine; the mode only pins
+/// or frees its per-round policy. kSparse pins every round to the push
+/// work list; kDense pins every round to the pull model; kHybrid lets
+/// FrontierPolicy choose per round.
 enum class FrontierMode {
   kSparse,
   kDense,
@@ -50,60 +48,6 @@ const char* FrontierModeName(FrontierMode mode);
 /// Parses a FrontierModeName back; returns false (mode untouched) on
 /// an unknown name.
 bool ParseFrontierMode(const std::string& name, FrontierMode* mode);
-
-/// The sparse frontier: a queue with an explicit window. Producers
-/// Push next-round vertices behind the window while consumers read the
-/// current window; SlideWindow promotes everything pushed since the
-/// last slide into the new window. Single-threaded by design — cores
-/// collect per-chunk discoveries deterministically and push them in
-/// chunk order, so the window's element order is schedule-independent.
-class SlidingQueue {
- public:
-  SlidingQueue() = default;
-  explicit SlidingQueue(int64_t capacity_hint) {
-    items_.reserve(static_cast<size_t>(capacity_hint));
-  }
-
-  /// Appends `v` to the *next* window (not visible until SlideWindow).
-  void Push(int64_t v) { items_.push_back(v); }
-
-  /// Promotes everything pushed since the previous slide into the
-  /// current window.
-  void SlideWindow() {
-    window_begin_ = window_end_;
-    window_end_ = items_.size();
-  }
-
-  /// The current window — the frontier a round consumes.
-  std::span<const int64_t> Window() const {
-    return std::span<const int64_t>(items_.data() + window_begin_,
-                                    window_end_ - window_begin_);
-  }
-
-  int64_t WindowSize() const {
-    return static_cast<int64_t>(window_end_ - window_begin_);
-  }
-  bool WindowEmpty() const { return window_end_ == window_begin_; }
-
-  /// Items pushed since the last slide (the next window's size so far).
-  int64_t PendingSize() const {
-    return static_cast<int64_t>(items_.size() - window_end_);
-  }
-
-  /// Total items ever pushed (all windows).
-  int64_t TotalPushed() const { return static_cast<int64_t>(items_.size()); }
-
-  void Reset() {
-    items_.clear();
-    window_begin_ = 0;
-    window_end_ = 0;
-  }
-
- private:
-  std::vector<int64_t> items_;
-  size_t window_begin_ = 0;
-  size_t window_end_ = 0;
-};
 
 /// Per-phase direction selector. Construct once per frontier-shaped
 /// phase (so the sticky state carries across that phase's rounds) with
@@ -129,11 +73,6 @@ class FrontierPolicy {
 
   /// Picks this round's representation and updates the sticky state.
   bool UseDense(int64_t frontier_size, int64_t frontier_edges);
-
-  /// The representation the last UseDense call chose.
-  bool dense() const { return dense_; }
-
-  FrontierMode mode() const { return mode_; }
 
  private:
   FrontierMode mode_;

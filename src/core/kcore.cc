@@ -1,9 +1,9 @@
 #include "core/kcore.h"
 
 #include <algorithm>
-#include <atomic>
 #include <deque>
 #include <memory>
+#include <numeric>
 #include <span>
 
 #include "common/bitmap.h"
@@ -154,73 +154,36 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
   }
   if (n == 0) return result;
 
+  // Frontier-engine peeling: only *active* vertices recompute — round
+  // 1 everyone, afterwards the vertices with a neighbor whose coreness
+  // changed last round. A vertex whose neighborhood did not change
+  // recomputes to the same h-index, so skipping it is exact: the
+  // per-round changed sets, the iteration count, and the final
+  // coreness are those of a synchronous full-sweep h-index iteration.
+  // Each round the policy picks the representation from the active
+  // set's size and out-edge mass: dense rounds pull (bitmap broadcast
+  // + local shard sweep, no per-vertex trips), sparse rounds push the
+  // active list through the lookup pipeline. kSparse pins it to push.
   std::vector<int32_t> next(n, 0);
   const sim::ClusterConfig::FrontierConfig& frontier_config =
       cluster.config().frontier;
-  if (frontier_config.mode == FrontierMode::kSparse) {
-    // Legacy path: every vertex recomputes every round through the
-    // push pipeline — the pre-frontier cost model, bit-identical.
-    for (;;) {
-      AMPC_CHECK_LT(result.iterations, options.max_iterations)
-          << "h-index iteration did not converge";
-      ++result.iterations;
-
-      // Publish the current values into a fresh per-round store D_i
-      // (cheap round), then recompute each vertex from its neighbors'
-      // published values with DHT random access (map round, no
-      // shuffle).
-      ValueStore values = cluster.MakeStore<int32_t>(n);
-      cluster.RunKvWritePhase("ValueWrite", values, n, [&](int64_t v) {
-        return result.coreness[v];
-      });
-
-      std::atomic<int64_t> changed{0};
-      cluster.RunBatchMapPhase(
-          "HIndex", n,
-          [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
-            HIndexSparseSlice(items, ctx, adjacency, values,
-                              [&](int64_t item, int32_t h) {
-                                next[item] = h;
-                                if (h != result.coreness[item]) {
-                                  changed.fetch_add(
-                                      1, std::memory_order_relaxed);
-                                }
-                              });
-          });
-      result.coreness.swap(next);
-      if (changed.load() == 0) break;
-    }
-    return result;
-  }
-
-  // Frontier-engine peeling (mode dense or hybrid): only *active*
-  // vertices recompute — round 1 everyone, afterwards the vertices
-  // with a neighbor whose coreness changed last round. A vertex whose
-  // neighborhood did not change recomputes to the same h-index, so
-  // skipping it is exact: the per-round changed sets, the iteration
-  // count, and the final coreness are identical to the legacy loop's.
-  // Each round the policy picks the representation from the active
-  // set's size and out-edge mass: dense rounds pull (bitmap broadcast
-  // + local shard sweep, no per-vertex trips), sparse rounds push
-  // through the legacy pipeline over just the active list.
   FrontierPolicy policy(frontier_config.mode, frontier_config.alpha,
                         frontier_config.beta, n, g.num_arcs());
-  SlidingQueue frontier(n);
-  for (int64_t v = 0; v < n; ++v) frontier.Push(v);
-  frontier.SlideWindow();
-  while (!frontier.WindowEmpty()) {
+  std::vector<int64_t> active(n);
+  std::iota(active.begin(), active.end(), int64_t{0});
+  while (!active.empty()) {
     AMPC_CHECK_LT(result.iterations, options.max_iterations)
         << "h-index iteration did not converge";
     ++result.iterations;
 
-    // Publish the full coreness vector exactly as the legacy loop does
-    // (reads must see every neighbor's current value, active or not).
+    // Publish the full coreness vector into a fresh per-round store
+    // (cheap round): reads must see every neighbor's current value,
+    // active or not.
     ValueStore values = cluster.MakeStore<int32_t>(n);
     cluster.RunKvWritePhase("ValueWrite", values, n, [&](int64_t v) {
       return result.coreness[v];
     });
 
-    const std::span<const int64_t> active = frontier.Window();
     int64_t frontier_edges = 0;
     for (const int64_t v : active) {
       frontier_edges += g.degree(static_cast<NodeId>(v));
@@ -232,15 +195,14 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
         changed.Set(item);
       }
     };
-    if (policy.UseDense(static_cast<int64_t>(active.size()),
-                        frontier_edges)) {
+    if (cluster.UsePullRound(policy, static_cast<int64_t>(active.size()),
+                             frontier_edges)) {
       cluster.RunPullPhase(
           "HIndex", n, active,
           [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
             HIndexPullSlice(items, ctx, adjacency, values, on_result);
           });
     } else {
-      cluster.NoteSparseFrontierRound();
       cluster.RunBatchMapPhase(
           "HIndex", n, active,
           [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
@@ -253,7 +215,7 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
 
     // Next frontier: every vertex with at least one changed neighbor.
     // Per-chunk discoveries are concatenated in chunk order, so the
-    // window's contents are schedule-independent.
+    // list is ascending and schedule-independent.
     const std::vector<IndexChunk> chunks = SplitIndexChunks(
         0, n, 2048, DefaultChunksForPool(cluster.pool()));
     std::vector<std::vector<int64_t>> discovered(chunks.size());
@@ -267,10 +229,10 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
         }
       }
     });
+    active.clear();
     for (const std::vector<int64_t>& part : discovered) {
-      for (const int64_t u : part) frontier.Push(u);
+      active.insert(active.end(), part.begin(), part.end());
     }
-    frontier.SlideWindow();
   }
   return result;
 }

@@ -8,7 +8,6 @@
 #include <unordered_set>
 
 #include "common/concurrent_bag.h"
-#include "common/frontier.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/timer.h"
@@ -112,27 +111,6 @@ void ResumePrimSearch(PrimSearchState& s, const std::vector<WAdj>* next,
   AdvancePrimSearch(s, seed, search_limit);
 }
 
-// Frontier-engine decision for one of the loop's adaptive phases
-// (common/frontier.h; connectivity inherits this through AmpcMsf).
-// Each phase is one decision — its frontier is the (shrinking) state
-// population seeded from `frontier_size` starts with `frontier_edges`
-// out-pointers. Returns whether to run the phase in pull mode
-// (Cluster::RunPullPhase + DrivePullSteps); notes a sparse round
-// otherwise. Always false — the legacy, cost-model bit-identical path
-// — when the engine is off.
-bool UsePullPhase(sim::Cluster& cluster, int64_t frontier_size,
-                  int64_t frontier_edges, int64_t num_vertices,
-                  int64_t total_edges) {
-  const sim::ClusterConfig::FrontierConfig& frontier_config =
-      cluster.config().frontier;
-  if (frontier_config.mode == FrontierMode::kSparse) return false;
-  FrontierPolicy policy(frontier_config.mode, frontier_config.alpha,
-                        frontier_config.beta, num_vertices, total_edges);
-  if (policy.UseDense(frontier_size, frontier_edges)) return true;
-  cluster.NoteSparseFrontierRound();
-  return false;
-}
-
 // Core contraction loop over an edge list whose ids are preserved
 // throughout. Appends the MSF's edge ids to `result`.
 void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
@@ -203,10 +181,12 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // cache after the first fetch. Per-search semantics are unchanged.
     ConcurrentBag<EdgeId> found_edges;
     std::vector<NodeId> parent(n, kInvalidNode);
-    // Every vertex originates a search, so the phase's frontier covers
-    // the whole round graph — dense under the hybrid policy whenever
-    // the round graph has edges.
-    const bool prim_pull = UsePullPhase(cluster, n, 2 * m, n, 2 * m);
+    // Each phase is one frontier decision from its starting state
+    // population (connectivity inherits this through AmpcMsf). Every
+    // vertex originates a search, so the frontier covers the whole
+    // round graph — dense under the hybrid policy whenever the round
+    // graph has edges.
+    const bool prim_pull = cluster.UsePullRound(n, 2 * m, n, 2 * m);
     const auto prim_slice =
         [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
           std::vector<PrimSearchState> searches(items.size());
@@ -279,7 +259,7 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // `stopped` vertices, each holding one out-pointer into a pointer
     // graph of at most n arcs — the hybrid policy pulls when most of
     // the round graph stopped, pushes when chains are scarce.
-    const bool jump_pull = UsePullPhase(cluster, stopped, stopped, n, n);
+    const bool jump_pull = cluster.UsePullRound(stopped, stopped, n, n);
     const auto jump_slice =
         [&](std::span<const int64_t> items, sim::MachineContext& ctx) {
           struct Chain {

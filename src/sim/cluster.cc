@@ -7,6 +7,14 @@
 #include "common/parallel.h"
 
 namespace ampc::sim {
+namespace {
+
+// Minimum items per worker slice when a map phase's machine share is
+// too small to feed every worker (the small-share regrouping in
+// RunMapPhaseImpl).
+constexpr int64_t kMinWorkerGrain = 32;
+
+}  // namespace
 
 Cluster::Cluster(ClusterConfig config) : config_(config) {
   AMPC_CHECK_GE(config_.num_machines, 1);
@@ -789,6 +797,23 @@ void Cluster::RunPullPhase(
                   &pull);
 }
 
+bool Cluster::UsePullRound(FrontierPolicy& policy, int64_t frontier_size,
+                           int64_t frontier_edges) {
+  if (policy.UseDense(frontier_size, frontier_edges)) return true;
+  // ampc-lint: allow(metric-zero-guard): the frontier engine has no off
+  // state; every frontier-shaped round is counted (dense ones by the
+  // pull settle), and jobs without frontier phases never get here.
+  metrics_.Add("frontier_sparse_rounds", 1);
+  return false;
+}
+
+bool Cluster::UsePullRound(int64_t frontier_size, int64_t frontier_edges,
+                           int64_t num_vertices, int64_t total_edges) {
+  FrontierPolicy policy(config_.frontier.mode, config_.frontier.alpha,
+                        config_.frontier.beta, num_vertices, total_edges);
+  return UsePullRound(policy, frontier_size, frontier_edges);
+}
+
 void Cluster::RunMapPhaseImpl(
     const std::string& phase, int64_t key_space,
     std::span<const int64_t> items, bool explicit_items,
@@ -807,50 +832,48 @@ void Cluster::RunMapPhaseImpl(
       explicit_items ? static_cast<int64_t>(items.size()) : key_space;
 
   // Bucket items by owning machine (the machine holding record i of a
-  // capacity-key_space store under the configured placement).
-  std::vector<std::atomic<int64_t>> machine_sizes(num_machines);
-  for (auto& s : machine_sizes) s.store(0, std::memory_order_relaxed);
-  ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
-    std::vector<int64_t> local(num_machines, 0);
-    for (int64_t i = lo; i < hi; ++i) {
-      const int64_t item = explicit_items ? items[i] : i;
-      ++local[MachineOf(item, key_space)];
-    }
-    for (int m = 0; m < num_machines; ++m) {
-      if (local[m] != 0) {
-        machine_sizes[m].fetch_add(local[m], std::memory_order_relaxed);
-      }
+  // capacity-key_space store under the configured placement) with a
+  // stable counting sort: each chunk counts its items per machine, an
+  // exclusive scan in (machine, chunk) order gives every (chunk,
+  // machine) pair its own output range, and each chunk scatters into
+  // its ranges in input order. A machine's bucket therefore keeps the
+  // work list's order whatever the thread timing.
+  const auto item_at = [&](int64_t i) { return explicit_items ? items[i] : i; };
+  const std::vector<IndexChunk> chunks =
+      SplitIndexChunks(0, n, 4096, DefaultChunksForPool(*pool_));
+  std::vector<int64_t> cursors(chunks.size() * num_machines, 0);
+  ParallelForEachChunk(*pool_, chunks, [&](int64_t c) {
+    int64_t* counts = &cursors[c * num_machines];
+    for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
+      ++counts[MachineOf(item_at(i), key_space)];
     }
   });
   std::vector<int64_t> offsets(num_machines + 1, 0);
   for (int m = 0; m < num_machines; ++m) {
-    offsets[m + 1] = offsets[m] + machine_sizes[m].load();
+    offsets[m + 1] = offsets[m];
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      int64_t& slot = cursors[c * num_machines + m];
+      const int64_t count = slot;
+      slot = offsets[m + 1];
+      offsets[m + 1] += count;
+    }
   }
   std::vector<int64_t> buckets(n);
-  std::vector<std::atomic<int64_t>> cursors(num_machines);
-  for (int m = 0; m < num_machines; ++m) {
-    cursors[m].store(offsets[m], std::memory_order_relaxed);
-  }
-  ParallelForChunked(*pool_, 0, n, 4096, [&](int64_t lo, int64_t hi) {
-    for (int64_t i = lo; i < hi; ++i) {
-      const int64_t item = explicit_items ? items[i] : i;
-      const int m = MachineOf(item, key_space);
-      buckets[cursors[m].fetch_add(1, std::memory_order_relaxed)] = item;
+  ParallelForEachChunk(*pool_, chunks, [&](int64_t c) {
+    int64_t* cursor = &cursors[c * num_machines];
+    for (int64_t i = chunks[c].begin; i < chunks[c].end; ++i) {
+      const int64_t item = item_at(i);
+      buckets[cursor[MachineOf(item, key_space)]++] = item;
     }
   });
 
-  // Execute: each machine's slice split over its worker threads. With
-  // the frontier engine active, a machine share too small to feed
-  // every worker is regrouped into min_worker_grain-sized chunks
-  // instead of span/workers slivers: a tiny sparse round then issues a
-  // few well-filled per-worker sub-batches (each sub-batch pays its
-  // own per-destination trips) rather than `workers` nearly-empty
-  // ones. kSparse keeps the historical split, and with it the
-  // historical cost model, bit-identically.
+  // Execute: each machine's slice split over its worker threads. A
+  // machine share too small to feed every worker is regrouped into
+  // kMinWorkerGrain-sized chunks instead of span/workers slivers: a
+  // tiny sparse round then issues a few well-filled per-worker
+  // sub-batches (each sub-batch pays its own per-destination trips)
+  // rather than `workers` nearly-empty ones.
   const int workers = config_.threads_per_machine;
-  const bool regroup_small =
-      config_.frontier.mode != FrontierMode::kSparse &&
-      config_.frontier.min_worker_grain > 0;
   struct WorkerSlice {
     int machine;
     int worker;
@@ -863,14 +886,12 @@ void Cluster::RunMapPhaseImpl(
     const int64_t begin = offsets[m];
     const int64_t end = offsets[m + 1];
     const int64_t span = end - begin;
-    if (regroup_small &&
-        span < static_cast<int64_t>(workers) *
-                   config_.frontier.min_worker_grain) {
-      const std::vector<IndexChunk> chunks = SplitIndexChunks(
-          begin, end, config_.frontier.min_worker_grain, workers);
-      for (size_t c = 0; c < chunks.size(); ++c) {
+    if (span < static_cast<int64_t>(workers) * kMinWorkerGrain) {
+      const std::vector<IndexChunk> grains =
+          SplitIndexChunks(begin, end, kMinWorkerGrain, workers);
+      for (size_t c = 0; c < grains.size(); ++c) {
         slices.push_back(WorkerSlice{m, static_cast<int>(c),
-                                     chunks[c].begin, chunks[c].end});
+                                     grains[c].begin, grains[c].end});
       }
     } else {
       for (int w = 0; w < workers; ++w) {

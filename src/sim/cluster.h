@@ -266,18 +266,18 @@ struct ClusterConfig {
   FaultConfig faults;
   /// The frontier engine (common/frontier.h): how frontier-shaped cores
   /// (pagerank's walk phases, connectivity/msf, kcore's h-index
-  /// peeling) represent and drive their active sets. kSparse — the
-  /// default — is the legacy flat-work-list path and reproduces the
-  /// pre-frontier cost model bit-identically (same discipline as
-  /// batch_lookups/query_cache/pipeline_depth: an ablation toggle that
-  /// never changes returned values). kDense forces every frontier
-  /// phase through the pull model (Cluster::RunPullPhase: broadcast
-  /// the frontier bitmap, sweep local shards — no per-vertex round
-  /// trips); kHybrid lets the Beamer-style FrontierPolicy pick per
-  /// round with alpha/beta hysteresis.
+  /// peeling) represent and drive their active sets. Every mode runs
+  /// the same engine and returns the same values; the mode only pins
+  /// its per-round push/pull policy (Cluster::UsePullRound). kSparse —
+  /// the default — pins every round to push: the active work list
+  /// through the lookup pipeline. kDense pins every round to the pull
+  /// model (Cluster::RunPullPhase: broadcast the frontier bitmap,
+  /// sweep local shards — no per-vertex round trips); kHybrid lets the
+  /// Beamer-style FrontierPolicy pick per round with alpha/beta
+  /// hysteresis.
   struct FrontierConfig {
-    /// kSparse — the default — is the legacy flat-work-list engine and
-    /// reproduces the pre-frontier cost model bit-identically.
+    /// kSparse — the default — pins every frontier round to push;
+    /// cost-only, never values.
     FrontierMode mode = FrontierMode::kSparse;
     /// Switch sparse -> dense when frontier out-edges exceed
     /// total_edges / alpha. Inert under the default kSparse mode;
@@ -287,17 +287,6 @@ struct ClusterConfig {
     /// num_vertices / beta. Inert under the default kSparse mode;
     /// cost-only otherwise.
     double beta = FrontierPolicy::kDefaultBeta;
-    /// Minimum items per worker slice when a map phase's per-machine
-    /// share is too small to feed every worker (the small-frontier
-    /// regrouping in RunMapPhaseImpl): shares below
-    /// threads_per_machine x this grain are split into grain-sized
-    /// chunks instead of machine_share / threads slivers, so a tiny
-    /// sparse round does not shatter into near-empty per-worker
-    /// sub-batches (each paying its own per-destination trips). Only
-    /// applied when the engine is active (mode != kSparse): kSparse
-    /// keeps the historical slicing, and with it the historical cost
-    /// model, untouched.
-    int64_t min_worker_grain = 32;
   };
   FrontierConfig frontier;
   /// The telemetry-driven AutoTuner (sim/autotuner.h): probe-then-commit
@@ -494,7 +483,7 @@ class Cluster {
           fn);
 
   /// Frontier-subset variant of RunBatchMapPhase — the sparse
-  /// (sliding-queue) view of the frontier engine. Runs `fn` over
+  /// (work-list) view of the frontier engine. Runs `fn` over
   /// exactly the items of `items` (each appearing once, machine-
   /// partitioned by the same placement a capacity-`key_space` store
   /// uses, so item v still runs on the machine owning record v)
@@ -536,14 +525,21 @@ class Cluster {
       const std::function<void(std::span<const int64_t>, MachineContext&)>&
           fn);
 
-  /// Counts a frontier-shaped round that ran in its sparse
-  /// representation. Called by frontier-aware cores only when the
-  /// engine is active (mode != kSparse) — the legacy sparse mode
-  /// leaves the frontier metrics untouched, preserving bit-identical
-  /// metric output.
-  // ampc-lint: allow(metric-zero-guard): callers gate on an active
-  // engine (mode != kSparse); legacy sparse mode never reaches this.
-  void NoteSparseFrontierRound() { metrics_.Add("frontier_sparse_rounds", 1); }
+  /// The frontier engine's push/pull decision for one frontier-shaped
+  /// round: asks `policy` (built from config().frontier; keep one per
+  /// phase so its hysteresis carries across the phase's rounds) and
+  /// returns true for a pull round, which the caller runs through
+  /// RunPullPhase (counted there as a dense round). Otherwise counts a
+  /// sparse round and returns false; the caller then pushes through
+  /// RunBatchMapPhase.
+  bool UsePullRound(FrontierPolicy& policy, int64_t frontier_size,
+                    int64_t frontier_edges);
+
+  /// One-decision form of UsePullRound for a phase whose whole run is
+  /// one frontier decision: a fresh policy over a graph of
+  /// `num_vertices` vertices and `total_edges` directed edges.
+  bool UsePullRound(int64_t frontier_size, int64_t frontier_edges,
+                    int64_t num_vertices, int64_t total_edges);
 
   /// Writes records for keys [0, n) into `store` using value = producer(key)
   /// and charges each machine for the writes landing on its shard (the
@@ -1157,13 +1153,6 @@ class MachineContext {
     return result;
   }
 
-  /// Request-object overload of LookupMany.
-  template <typename V>
-  kv::LookupBatchResult<V> LookupMany(const kv::ShardedStore<V>& store,
-                                      const kv::LookupBatch& batch) {
-    return LookupMany(store, std::span<const uint64_t>(batch.keys));
-  }
-
   /// Dense-frontier pull resolution (the frontier engine's pull mode,
   /// common/frontier.h — only meaningful inside Cluster::RunPullPhase).
   /// Resolves keys[i] against the store as a *local shard sweep*: the
@@ -1337,20 +1326,31 @@ class MachineContext {
   int64_t pull_steps_ = 0;
 };
 
-namespace internal {
-
-/// Shared scaffold of the lockstep and pipelined drivers: each adaptive
-/// step gathers the pending key of every unfinished state into bounded
-/// frontier windows (at most ClusterConfig::max_batch_keys keys each),
-/// keeps up to `depth` windows in flight as LookupManyAsync tickets,
-/// and feeds each settled window's records back through `resume`.
+/// Drives a worker's batched state machines with bounded-depth
+/// pipelining — the shared scaffold of every RunBatchMapPhase
+/// algorithm, and the third Section 5.3 client optimization. Each
+/// adaptive step gathers the pending key of every unfinished state into
+/// frontier windows of at most ClusterConfig::max_batch_keys keys and
+/// keeps up to ClusterConfig::pipeline_depth windows in flight at once
+/// (LookupManyAsync tickets, settled FIFO): the in-flight windows'
+/// round-trip latencies overlap, so a destination contacted by w of a
+/// step's windows costs ceil(w / depth) serialized trips instead of w,
+/// while a worker holds at most depth x max_batch_keys keys in flight.
+/// pipeline_depth = 1 is strict lockstep, the ablation baseline.
+/// Callers initialize their states (running them up to their first
+/// pending lookup) and harvest results afterwards; `done(state)` says
+/// whether a state needs no more lookups, `pending_key(state)` names
+/// the key it is waiting on, and `resume(state, value)` consumes the
+/// fetched record and advances the state to its next pending lookup or
+/// to completion. Values are identical at every depth: windows are
+/// resolved and resumed in the same order regardless of how many are in
+/// flight.
 template <typename V, typename State, typename DoneFn, typename KeyFn,
           typename ResumeFn>
-void DriveLookupWindows(MachineContext& ctx,
-                        const kv::ShardedStore<V>& store,
-                        std::vector<State>& states, DoneFn&& done,
-                        KeyFn&& pending_key, ResumeFn&& resume,
-                        size_t depth) {
+void DriveLookupPipelined(MachineContext& ctx,
+                          const kv::ShardedStore<V>& store,
+                          std::vector<State>& states, DoneFn&& done,
+                          KeyFn&& pending_key, ResumeFn&& resume) {
   std::vector<size_t> active;
   active.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
@@ -1359,7 +1359,8 @@ void DriveLookupWindows(MachineContext& ctx,
   const int64_t max_keys = ctx.max_batch_keys();
   const size_t window = max_keys > 0 ? static_cast<size_t>(max_keys)
                                      : std::max<size_t>(1, active.size());
-  depth = std::max<size_t>(1, depth);
+  const size_t depth =
+      std::max<size_t>(1, static_cast<size_t>(ctx.pipeline_depth()));
   // One in-flight frontier window: the sub-batch ticket plus the slice
   // of `active` it answers. Windows settle in issue (FIFO) order, so
   // the compaction cursor `out` below never overtakes an unsettled
@@ -1401,55 +1402,6 @@ void DriveLookupWindows(MachineContext& ctx,
     while (!inflight.empty()) settle_oldest();
     active.resize(out);
   }
-}
-
-}  // namespace internal
-
-/// Drives a worker's batched state machines with bounded-depth
-/// pipelining — the shared scaffold of every RunBatchMapPhase
-/// algorithm, and the third Section 5.3 client optimization. Each
-/// adaptive step gathers the pending key of every unfinished state into
-/// frontier windows of at most ClusterConfig::max_batch_keys keys and
-/// keeps up to ClusterConfig::pipeline_depth windows in flight at once
-/// (LookupManyAsync tickets, settled FIFO): the in-flight windows'
-/// round-trip latencies overlap, so a destination contacted by w of a
-/// step's windows costs ceil(w / depth) serialized trips instead of w,
-/// while a worker holds at most depth x max_batch_keys keys in flight.
-/// depth = 1 is strict lockstep (DriveLookupLockstep), the
-/// bit-identical ablation baseline. Callers initialize their states
-/// (running them up to their first pending lookup) and harvest results
-/// afterwards; `done(state)` says whether a state needs no more
-/// lookups, `pending_key(state)` names the key it is waiting on, and
-/// `resume(state, value)` consumes the fetched record and advances the
-/// state to its next pending lookup or to completion. Values are
-/// identical at every depth: windows are resolved and resumed in the
-/// same order regardless of how many are in flight.
-template <typename V, typename State, typename DoneFn, typename KeyFn,
-          typename ResumeFn>
-void DriveLookupPipelined(MachineContext& ctx,
-                          const kv::ShardedStore<V>& store,
-                          std::vector<State>& states, DoneFn&& done,
-                          KeyFn&& pending_key, ResumeFn&& resume) {
-  internal::DriveLookupWindows(
-      ctx, store, states, std::forward<DoneFn>(done),
-      std::forward<KeyFn>(pending_key), std::forward<ResumeFn>(resume),
-      static_cast<size_t>(ctx.pipeline_depth()));
-}
-
-/// The depth-1 specialization of DriveLookupPipelined: strict lockstep
-/// (each frontier window settles before the next is issued) regardless
-/// of ClusterConfig::pipeline_depth — the historical driver, kept as
-/// the explicit ablation baseline.
-template <typename V, typename State, typename DoneFn, typename KeyFn,
-          typename ResumeFn>
-void DriveLookupLockstep(MachineContext& ctx,
-                         const kv::ShardedStore<V>& store,
-                         std::vector<State>& states, DoneFn&& done,
-                         KeyFn&& pending_key, ResumeFn&& resume) {
-  internal::DriveLookupWindows(
-      ctx, store, states, std::forward<DoneFn>(done),
-      std::forward<KeyFn>(pending_key), std::forward<ResumeFn>(resume),
-      /*depth=*/1);
 }
 
 /// Pull-mode counterpart of DriveLookupPipelined for dense frontiers

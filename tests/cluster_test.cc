@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -354,9 +355,36 @@ TEST(ClusterTest, InMemoryFinishChargesGatherShuffle) {
   EXPECT_EQ(cluster.metrics().Get("shuffles"), 1);  // compute adds none
 }
 
+// Map-phase bucketing is a stable counting sort: every machine's bucket,
+// and so every worker slice, keeps the work list's order whatever the
+// thread timing (many chunks bucket in parallel here).
+TEST(ClusterTest, BatchMapSlicesKeepWorkListOrder) {
+  ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 4;
+  Cluster cluster(config);
+  constexpr int64_t kItems = int64_t{1} << 17;
+  std::vector<int64_t> items(kItems);
+  for (int64_t i = 0; i < kItems; ++i) items[i] = 2 * i + 1;
+  std::atomic<int64_t> seen{0};
+  std::atomic<int> unordered{0};
+  cluster.RunBatchMapPhase(
+      "order", 2 * kItems, items,
+      [&](std::span<const int64_t> slice, MachineContext&) {
+        if (std::adjacent_find(slice.begin(), slice.end(),
+                               std::greater_equal<int64_t>()) !=
+            slice.end()) {
+          unordered.fetch_add(1);
+        }
+        seen.fetch_add(static_cast<int64_t>(slice.size()));
+      });
+  EXPECT_EQ(unordered.load(), 0);
+  EXPECT_EQ(seen.load(), kItems);
+}
+
 TEST(ClusterTest, LookupManyReturnsSameValuesAsScalarLookup) {
   ClusterConfig config = TestConfig();
-  // Uncached: the second LookupMany below re-fetches every key, so the
+  // Uncached: the repeated LookupMany below re-fetches every key, so the
   // two batches' byte/destination accounting must be identical.
   config.query_cache.enabled = false;
   Cluster cluster(config);
@@ -365,17 +393,13 @@ TEST(ClusterTest, LookupManyReturnsSameValuesAsScalarLookup) {
   std::atomic<int> mismatches{0};
   cluster.RunBatchMapPhase(
       "r", 200, [&](std::span<const int64_t> items, MachineContext& ctx) {
-        // Exercise both entry points: the span overload and the
-        // LookupBatch request object must answer identically.
         std::vector<uint64_t> keys(items.begin(), items.end());
         const auto batch = ctx.LookupMany(store, keys);
-        kv::LookupBatch request;
-        request.keys = keys;
-        const auto from_request = ctx.LookupMany(store, request);
+        const auto repeat = ctx.LookupMany(store, keys);
         ASSERT_EQ(batch.values.size(), keys.size());
-        ASSERT_EQ(from_request.values, batch.values);
-        ASSERT_EQ(from_request.destinations, batch.destinations);
-        ASSERT_EQ(from_request.bytes, batch.bytes);
+        ASSERT_EQ(repeat.values, batch.values);
+        ASSERT_EQ(repeat.destinations, batch.destinations);
+        ASSERT_EQ(repeat.bytes, batch.bytes);
         for (size_t i = 0; i < keys.size(); ++i) {
           // Keys >= 100 were never written: both paths must agree on
           // absence too.
@@ -909,7 +933,7 @@ TEST(ClusterTest, PipeliningStrictlyCheaperThanLockstep) {
   EXPECT_EQ(pipelined_roots, lockstep_roots);
 }
 
-// --- Driver edge cases (DriveLookupLockstep / DriveLookupPipelined) -------
+// --- Driver edge cases (DriveLookupPipelined, lockstep and deep) ----------
 
 struct DriverChain {
   int64_t item;
@@ -934,20 +958,21 @@ std::pair<int64_t, int64_t> OracleChase(const kv::ShardedStore<int64_t>& store,
   }
 }
 
-// Runs both drivers over every chain of `parent_of` under the given
-// sub-batch bound and depth, and pins roots and hop counts against the
-// scalar oracle. Chains of different lengths finish mid-window, so the
-// compaction path is exercised throughout.
+// Runs the driver over every chain of `parent_of` under the given
+// sub-batch bound, at depth 1 (lockstep) and at `pipeline_depth`, and
+// pins roots and hop counts against the scalar oracle. Chains of
+// different lengths finish mid-window, so the compaction path is
+// exercised throughout.
 void CheckDriversAgainstOracle(int64_t n, int64_t max_batch_keys,
                                int pipeline_depth,
                                const std::function<int64_t(int64_t)>&
                                    parent_of) {
-  for (const bool pipelined : {false, true}) {
+  for (const int depth : {1, pipeline_depth}) {
     ClusterConfig config;
     config.num_machines = 2;
     config.threads_per_machine = 2;
     config.max_batch_keys = max_batch_keys;
-    config.pipeline_depth = pipeline_depth;
+    config.pipeline_depth = depth;
     Cluster cluster(config);
     kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(n);
     cluster.RunKvWritePhase("w", store, n, parent_of);
@@ -972,17 +997,13 @@ void CheckDriversAgainstOracle(int64_t n, int64_t max_batch_keys,
               c.cur = static_cast<uint64_t>(*p);
             }
           };
-          if (pipelined) {
-            DriveLookupPipelined(ctx, store, chains, is_done, key_of, resume);
-          } else {
-            DriveLookupLockstep(ctx, store, chains, is_done, key_of, resume);
-          }
+          DriveLookupPipelined(ctx, store, chains, is_done, key_of, resume);
         });
     for (int64_t v = 0; v < n; ++v) {
       const auto [oracle_root, oracle_hops] = OracleChase(store, v);
       EXPECT_EQ(roots[v], oracle_root)
-          << (pipelined ? "pipelined" : "lockstep") << " window "
-          << max_batch_keys << " depth " << pipeline_depth << " key " << v;
+          << "window " << max_batch_keys << " depth " << depth << " key "
+          << v;
       EXPECT_EQ(hops[v], oracle_hops);
     }
   }
@@ -997,22 +1018,23 @@ int64_t MixedChainParent(int64_t k) {
 }
 
 TEST(ClusterDriverTest, EmptyStateVectorIsANoOp) {
-  Cluster cluster(TestConfig());
-  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(16);
-  cluster.RunKvWritePhase("w", store, 16, [](int64_t) { return int64_t{-1}; });
-  cluster.RunBatchMapPhase(
-      "drive", 16, [&](std::span<const int64_t>, MachineContext& ctx) {
-        std::vector<DriverChain> none;
-        DriveLookupPipelined(
-            ctx, store, none, [](const DriverChain& c) { return c.done; },
-            [](const DriverChain& c) { return c.cur; },
-            [](DriverChain&, const int64_t*) { FAIL() << "resumed"; });
-        DriveLookupLockstep(
-            ctx, store, none, [](const DriverChain& c) { return c.done; },
-            [](const DriverChain& c) { return c.cur; },
-            [](DriverChain&, const int64_t*) { FAIL() << "resumed"; });
-      });
-  EXPECT_EQ(cluster.metrics().Get("kv_reads"), 0);
+  for (const int depth : {1, 4}) {
+    ClusterConfig config = TestConfig();
+    config.pipeline_depth = depth;
+    Cluster cluster(config);
+    kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(16);
+    cluster.RunKvWritePhase("w", store, 16,
+                            [](int64_t) { return int64_t{-1}; });
+    cluster.RunBatchMapPhase(
+        "drive", 16, [&](std::span<const int64_t>, MachineContext& ctx) {
+          std::vector<DriverChain> none;
+          DriveLookupPipelined(
+              ctx, store, none, [](const DriverChain& c) { return c.done; },
+              [](const DriverChain& c) { return c.cur; },
+              [](DriverChain&, const int64_t*) { FAIL() << "resumed"; });
+        });
+    EXPECT_EQ(cluster.metrics().Get("kv_reads"), 0) << "depth " << depth;
+  }
 }
 
 TEST(ClusterDriverTest, AllStatesInitiallyDoneIssueNoLookups) {

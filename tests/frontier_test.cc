@@ -1,6 +1,5 @@
 // Frontier-engine unit tests: the atomic bitmap (concurrent set /
 // test-and-set with popcount accounting — run under TSAN in CI), the
-// sliding-queue window semantics backing sparse frontiers, the
 // alpha/beta direction-switching hysteresis, and push-vs-pull value
 // parity plus cost separation on a pinned graph.
 #include <gtest/gtest.h>
@@ -85,36 +84,6 @@ TEST(AtomicBitmapTest, ConcurrentTestAndSetElectsOneWinner) {
   EXPECT_EQ(bits.Count(), kBits);
 }
 
-TEST(SlidingQueueTest, WindowSemantics) {
-  SlidingQueue queue(10);
-  EXPECT_TRUE(queue.WindowEmpty());
-  queue.Push(3);
-  queue.Push(1);
-  queue.Push(4);
-  // Pushes land beyond the window until it slides.
-  EXPECT_TRUE(queue.WindowEmpty());
-  EXPECT_EQ(queue.PendingSize(), 3);
-  queue.SlideWindow();
-  ASSERT_EQ(queue.WindowSize(), 3);
-  EXPECT_EQ(queue.Window()[0], 3);
-  EXPECT_EQ(queue.Window()[1], 1);
-  EXPECT_EQ(queue.Window()[2], 4);
-  EXPECT_EQ(queue.PendingSize(), 0);
-  // The next generation accumulates while the current window stays
-  // readable, then replaces it wholesale.
-  queue.Push(9);
-  EXPECT_EQ(queue.WindowSize(), 3);
-  queue.SlideWindow();
-  ASSERT_EQ(queue.WindowSize(), 1);
-  EXPECT_EQ(queue.Window()[0], 9);
-  queue.SlideWindow();
-  EXPECT_TRUE(queue.WindowEmpty());
-  EXPECT_EQ(queue.TotalPushed(), 4);
-  queue.Reset();
-  EXPECT_TRUE(queue.WindowEmpty());
-  EXPECT_EQ(queue.TotalPushed(), 0);
-}
-
 TEST(FrontierPolicyTest, PureModesNeverSwitch) {
   FrontierPolicy sparse(FrontierMode::kSparse, 15, 18, 1000, 10000);
   FrontierPolicy dense(FrontierMode::kDense, 15, 18, 1000, 10000);
@@ -186,9 +155,12 @@ TEST(FrontierPullTest, PullMatchesPushOnPinnedGraph) {
   graph::Graph g =
       graph::BuildGraph(graph::GenerateErdosRenyi(600, 3600, 7));
 
+  // Sparse mode is the same engine with every round pinned to push:
+  // each h-index round is counted, and counted sparse.
   sim::Cluster sparse = MakeCluster(FrontierMode::kSparse);
   const core::KCoreResult push = core::AmpcKCore(sparse, g);
   EXPECT_EQ(sparse.metrics().Get("frontier_dense_rounds"), 0);
+  EXPECT_EQ(sparse.metrics().Get("frontier_sparse_rounds"), push.iterations);
 
   sim::Cluster dense = MakeCluster(FrontierMode::kDense);
   const core::KCoreResult pull = core::AmpcKCore(dense, g);

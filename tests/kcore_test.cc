@@ -137,6 +137,49 @@ TEST(AmpcKCoreTest, PathConvergesSlowlyButCorrectly) {
   EXPECT_GE(result.iterations, 40 / 2 - 2);
 }
 
+// Rounds of the synchronous full-sweep h-index iteration: every vertex
+// recomputes from all neighbors' previous values, until a sweep changes
+// nothing (that last sweep counts, as it does in AmpcKCore).
+int SynchronousHIndexRounds(const Graph& g) {
+  const int64_t n = g.num_nodes();
+  std::vector<int32_t> cur(n), next(n);
+  for (NodeId v = 0; v < n; ++v) cur[v] = static_cast<int32_t>(g.degree(v));
+  std::vector<int32_t> values;
+  for (int rounds = 1;; ++rounds) {
+    for (NodeId v = 0; v < n; ++v) {
+      values.clear();
+      for (const NodeId u : g.neighbors(v)) values.push_back(cur[u]);
+      next[v] = core::HIndex(values);
+    }
+    if (next == cur) return rounds;
+    cur.swap(next);
+  }
+}
+
+// The active-set engine recomputes only vertices with a changed
+// neighbor, which is exact: in every frontier mode its round count is
+// the full sweep's, and its coreness the oracle's.
+TEST(AmpcKCoreTest, IterationsMatchSynchronousFullSweepInEveryMode) {
+  const Graph graphs[] = {
+      graph::BuildGraph(graph::GenerateErdosRenyi(300, 1200, 9)),
+      graph::BuildGraph(graph::GenerateRmat(9, 3000, 4)),
+      graph::BuildGraph(graph::GeneratePath(40)),
+  };
+  for (const Graph& g : graphs) {
+    const int rounds = SynchronousHIndexRounds(g);
+    for (const FrontierMode mode :
+         {FrontierMode::kSparse, FrontierMode::kDense, FrontierMode::kHybrid}) {
+      sim::ClusterConfig config = SmallConfig();
+      config.frontier.mode = mode;
+      sim::Cluster cluster(config);
+      const core::KCoreResult result = core::AmpcKCore(cluster, g);
+      EXPECT_EQ(result.iterations, rounds) << FrontierModeName(mode);
+      EXPECT_EQ(result.coreness, seq::CoreDecomposition(g))
+          << FrontierModeName(mode);
+    }
+  }
+}
+
 TEST(AmpcKCoreTest, UsesExactlyOneShuffle) {
   Graph g = graph::BuildGraph(graph::GenerateErdosRenyi(300, 1200, 9));
   sim::Cluster cluster(SmallConfig());

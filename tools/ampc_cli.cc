@@ -10,10 +10,13 @@
 //   ampc_cli 1v2cycle --nodes 1000000 --cycles 2
 //
 // Run `ampc_cli --help` for the full flag list.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "baselines/boruvka.h"
@@ -130,7 +133,9 @@ void PrintUsage() {
       "                          --replication 2+ and --slow-machine-rate)\n"
       "\n"
       "frontier engine (outputs stay bit-identical; only cost changes):\n"
-      "  --frontier-mode M       sparse | dense | hybrid (default sparse)\n"
+      "  --frontier-mode M       sparse | dense | hybrid (default sparse):\n"
+      "                          every frontier round pushes, every\n"
+      "                          round pulls, or the policy picks\n"
       "  --frontier-alpha A      hybrid: go dense when frontier out-edges\n"
       "                          exceed total_edges/A  (default 15)\n"
       "  --frontier-beta B       hybrid: back to sparse when frontier\n"
@@ -146,6 +151,22 @@ void PrintUsage() {
       "Instead of an algorithm, `ampc_cli --lint-config [flags]` dumps\n"
       "the effective ClusterConfig: every knob with its value and its\n"
       "off-state marker (checked against the struct by ampc_lint).\n");
+}
+
+// Parses a flag's whole value as a T no smaller than `min`; anything
+// else (trailing junk, overflow, an empty string) is a usage error.
+template <typename T>
+T ParseNumber(const std::string& flag, const char* text,
+              T min = std::numeric_limits<T>::lowest()) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < min) {
+    std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), text);
+    PrintUsage();
+    std::exit(2);
+  }
+  return value;
 }
 
 bool ParseArgs(int argc, char** argv, Args* args) {
@@ -170,47 +191,47 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--network") {
       args->network = next();
     } else if (flag == "--nodes") {
-      args->nodes = std::atoll(next());
+      args->nodes = ParseNumber<int64_t>(flag, next());
     } else if (flag == "--edges") {
-      args->edges = std::atoll(next());
+      args->edges = ParseNumber<int64_t>(flag, next());
     } else if (flag == "--cycles") {
-      args->cycles = std::atoi(next());
+      args->cycles = ParseNumber<int>(flag, next());
     } else if (flag == "--seed") {
-      args->seed = std::strtoull(next(), nullptr, 10);
+      args->seed = ParseNumber<uint64_t>(flag, next());
     } else if (flag == "--machines") {
-      args->machines = std::atoi(next());
+      args->machines = ParseNumber<int>(flag, next(), 1);
     } else if (flag == "--threads") {
-      args->threads = std::atoi(next());
+      args->threads = ParseNumber<int>(flag, next(), 1);
     } else if (flag == "--walks") {
-      args->walks = std::atoi(next());
+      args->walks = ParseNumber<int>(flag, next());
     } else if (flag == "--no-cache") {
       args->caching = false;
     } else if (flag == "--no-mt") {
       args->multithreading = false;
     } else if (flag == "--fault-rate") {
-      args->fault_rate = std::atof(next());
+      args->fault_rate = ParseNumber<double>(flag, next());
     } else if (flag == "--fault-seed") {
-      args->fault_seed = std::strtoull(next(), nullptr, 10);
+      args->fault_seed = ParseNumber<uint64_t>(flag, next());
     } else if (flag == "--replication") {
-      args->replication = std::atoi(next());
+      args->replication = ParseNumber<int>(flag, next(), 1);
     } else if (flag == "--checkpoint-period") {
-      args->checkpoint_period = std::atof(next());
+      args->checkpoint_period = ParseNumber<double>(flag, next());
     } else if (flag == "--machines-per-domain") {
-      args->machines_per_domain = std::atoi(next());
+      args->machines_per_domain = ParseNumber<int>(flag, next());
     } else if (flag == "--domain-fault-rate") {
-      args->domain_fault_rate = std::atof(next());
+      args->domain_fault_rate = ParseNumber<double>(flag, next());
     } else if (flag == "--warning-lead") {
-      args->warning_lead = std::atof(next());
+      args->warning_lead = ParseNumber<double>(flag, next());
     } else if (flag == "--slow-machine-rate") {
-      args->slow_machine_rate = std::atof(next());
+      args->slow_machine_rate = ParseNumber<double>(flag, next());
     } else if (flag == "--hedge") {
       args->hedge = true;
     } else if (flag == "--frontier-mode") {
       args->frontier_mode = next();
     } else if (flag == "--frontier-alpha") {
-      args->frontier_alpha = std::atof(next());
+      args->frontier_alpha = ParseNumber<double>(flag, next());
     } else if (flag == "--frontier-beta") {
-      args->frontier_beta = std::atof(next());
+      args->frontier_beta = ParseNumber<double>(flag, next());
     } else if (flag == "--auto-tune") {
       args->auto_tune = true;
     } else {
@@ -373,11 +394,6 @@ bool BuildClusterConfig(const Args& args, sim::ClusterConfig* config) {
 int DumpLintConfig(const Args& args) {
   sim::ClusterConfig c;
   if (!BuildClusterConfig(args, &c)) return 2;
-  const char* frontier_mode = c.frontier.mode == FrontierMode::kSparse
-                                  ? "sparse"
-                                  : c.frontier.mode == FrontierMode::kDense
-                                        ? "dense"
-                                        : "hybrid";
   std::printf("--- effective ClusterConfig (knob = value  # off-state) ---\n");
   auto row = [](const char* knob, const std::string& value,
                 const char* off_state) {
@@ -441,14 +457,12 @@ int DumpLintConfig(const Args& args) {
       "inert while slow_machine_rate is 0");
   row("faults.hedge_lookups", boolean(c.faults.hedge_lookups),
       "false = wait out stragglers, historical model");
-  row("frontier.mode", frontier_mode,
-      "sparse = legacy engine, bit-identical cost model");
+  row("frontier.mode", FrontierModeName(c.frontier.mode),
+      "sparse = every frontier round pushes; cost-only");
   row("frontier.alpha", num(c.frontier.alpha),
       "inert under sparse; cost-only otherwise");
   row("frontier.beta", num(c.frontier.beta),
       "inert under sparse; cost-only otherwise");
-  row("frontier.min_worker_grain", integer(c.frontier.min_worker_grain),
-      "inert under sparse (historical slicing)");
   row("auto_tune", boolean(c.auto_tune.enabled),
       "false constructs no tuner, byte-identical cost model");
   row("seed", integer(int64_t(c.seed)),
