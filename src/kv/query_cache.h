@@ -21,9 +21,11 @@
 //     kv::ShardedStore::version() captured *before* the underlying
 //     lookup, so a cached value — including a cached negative — can
 //     never survive a later write phase: stale reads are impossible.
-//   * Thread-safe: the machine's worker threads share one cache; each
-//     lock shard has one mutex (concurrency only — nothing to do with
-//     the DHT's machine sharding).
+//   * Thread-safe: each lock shard has one mutex (concurrency only —
+//     nothing to do with the DHT's machine sharding). A machine's
+//     worker slices share its caches but run one after another in
+//     worker order (sim::Cluster::RunMapPhaseImpl), so within a map
+//     phase each cache sees one fixed operation sequence.
 //
 // Layout. A lock shard is flat storage, with no per-entry heap node:
 //   * a node slab (std::vector<Node>, Node = {key, epoch, value, prev,

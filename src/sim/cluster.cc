@@ -867,74 +867,52 @@ void Cluster::RunMapPhaseImpl(
     }
   });
 
-  // Execute: each machine's slice split over its worker threads. A
-  // machine share too small to feed every worker is regrouped into
+  // Split each machine's share into one slice per simulated worker
+  // thread. A machine share too small to feed every worker is regrouped into
   // kMinWorkerGrain-sized chunks instead of span/workers slivers: a
   // tiny sparse round then issues a few well-filled per-worker
   // sub-batches (each sub-batch pays its own per-destination trips)
   // rather than `workers` nearly-empty ones.
   const int workers = config_.threads_per_machine;
-  struct WorkerSlice {
-    int machine;
-    int worker;
-    int64_t lo;
-    int64_t hi;
-  };
-  std::vector<WorkerSlice> slices;
-  slices.reserve(static_cast<size_t>(num_machines) * workers);
+  std::vector<std::vector<IndexChunk>> worker_slices(num_machines);
   for (int m = 0; m < num_machines; ++m) {
     const int64_t begin = offsets[m];
     const int64_t end = offsets[m + 1];
     const int64_t span = end - begin;
     if (span < static_cast<int64_t>(workers) * kMinWorkerGrain) {
-      const std::vector<IndexChunk> grains =
-          SplitIndexChunks(begin, end, kMinWorkerGrain, workers);
-      for (size_t c = 0; c < grains.size(); ++c) {
-        slices.push_back(WorkerSlice{m, static_cast<int>(c),
-                                     grains[c].begin, grains[c].end});
-      }
+      worker_slices[m] = SplitIndexChunks(begin, end, kMinWorkerGrain, workers);
     } else {
       for (int w = 0; w < workers; ++w) {
-        slices.push_back(WorkerSlice{m, w, begin + span * w / workers,
-                                     begin + span * (w + 1) / workers});
+        worker_slices[m].push_back(IndexChunk{
+            begin + span * w / workers, begin + span * (w + 1) / workers});
       }
     }
   }
-  struct Latch {
-    std::mutex mu;
-    std::condition_variable cv;
-    int remaining;
-  };
-  Latch latch;
-  latch.remaining = static_cast<int>(slices.size());
-  for (const WorkerSlice& slice : slices) {
-    const int m = slice.machine;
-    const int w = slice.worker;
-    const int64_t lo = slice.lo;
-    const int64_t hi = slice.hi;
-    pool_->Schedule([&, m, w, lo, hi] {
-      {
-        // Scoped so the context's destructor — which settles any
-        // deferred pipeline trips and folds the worker's in-flight
-        // watermark into the counters — runs before the latch
-        // releases the settle.
-        MachineContext ctx(
-            this, &counters, m, w,
-            Hash64(HashCombine(Hash64(m, config_.seed), w),
-                   HashCombine(config_.seed,
-                               std::hash<std::string>{}(phase))));
-        slice_fn(std::span<const int64_t>(buckets.data() + lo, hi - lo),
-                 ctx);
-        counters[m].items.fetch_add(hi - lo, std::memory_order_relaxed);
-      }
-      std::unique_lock<std::mutex> lock(latch.mu);
-      if (--latch.remaining == 0) latch.cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(latch.mu);
-    latch.cv.wait(lock, [&latch] { return latch.remaining == 0; });
-  }
+  // One pool task per machine runs that machine's worker slices one
+  // after another, in worker order. Each slice keeps its own
+  // MachineContext (its own pipeline, trips and seed), so the settle
+  // still models `workers` overlapping clients; but the machine's query
+  // caches, which all its workers share, see one fixed operation
+  // sequence. Hits, and every charged cost that follows from them, are
+  // then independent of thread timing. Host parallelism of a map phase
+  // is capped at num_machines.
+  ParallelFor(*pool_, 0, num_machines, 1, [&](int64_t m) {
+    const std::vector<IndexChunk>& slices = worker_slices[m];
+    for (size_t w = 0; w < slices.size(); ++w) {
+      // The context's destructor settles any deferred pipeline trips
+      // and folds the worker's in-flight watermark into the counters
+      // before the next worker's slice starts.
+      MachineContext ctx(
+          this, &counters, static_cast<int>(m), static_cast<int>(w),
+          Hash64(HashCombine(Hash64(m, config_.seed), w),
+                 HashCombine(config_.seed, std::hash<std::string>{}(phase))));
+      const IndexChunk& slice = slices[w];
+      slice_fn(std::span<const int64_t>(buckets.data() + slice.begin,
+                                        slice.size()),
+               ctx);
+      counters[m].items.fetch_add(slice.size(), std::memory_order_relaxed);
+    }
+  });
   SettleMapPhase(phase, counters, timer.Seconds(), pull);
   AutoTuneEndRound(tune_scope, key_space, n);
 }

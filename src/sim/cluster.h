@@ -96,10 +96,14 @@ struct ClusterConfig {
   /// bit-identical across values (the determinism matrix), only the
   /// cost distribution moves.
   int num_machines = 8;
-  /// Worker threads per machine used to overlap synchronous KV lookups
-  /// (the multithreading optimization of Section 5.3). A scale
-  /// parameter: outputs are bit-identical across thread counts, only
-  /// simulated overlap changes.
+  /// Simulated worker threads per machine used to overlap synchronous
+  /// KV lookups (the multithreading optimization of Section 5.3). A
+  /// scale parameter: outputs are bit-identical across thread counts,
+  /// only simulated overlap changes. A map phase splits each machine's
+  /// share into this many worker slices, each with its own
+  /// MachineContext, and runs them one after another in worker order on
+  /// one host thread, so the machine's shared query caches see one
+  /// fixed operation sequence; host threads run distinct machines.
   int threads_per_machine = 8;
   /// Disables the multithreading optimization when false (Figure 4).
   bool multithreading = true;

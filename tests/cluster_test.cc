@@ -382,6 +382,41 @@ TEST(ClusterTest, BatchMapSlicesKeepWorkListOrder) {
   EXPECT_EQ(seen.load(), kItems);
 }
 
+TEST(ClusterTest, MapPhaseRunsEachMachinesSlicesInWorkerOrder) {
+  // A machine's workers share its query caches, so its slices must run
+  // one after another in worker order for hits to be a pure function of
+  // the config. The per-machine logs are plain vectors on purpose: any
+  // overlap of two slices of one machine is a data race that TSAN
+  // reports, and the in-flight counters catch it in any build.
+  ClusterConfig config;
+  config.num_machines = 4;
+  config.threads_per_machine = 4;
+  Cluster cluster(config);
+  constexpr int64_t kItems = int64_t{1} << 16;
+  std::vector<std::vector<int>> worker_log(config.num_machines);
+  std::vector<std::atomic<int>> in_flight(config.num_machines);
+  std::atomic<int> overlaps{0};
+  std::atomic<int64_t> misrouted{0};
+  cluster.RunBatchMapPhase(
+      "worker-order", kItems,
+      [&](std::span<const int64_t> slice, MachineContext& ctx) {
+        const int m = ctx.machine_id();
+        if (in_flight[m].fetch_add(1) != 0) overlaps.fetch_add(1);
+        worker_log[m].push_back(ctx.worker_id());
+        for (const int64_t item : slice) {
+          if (cluster.MachineOf(item, kItems) != m) misrouted.fetch_add(1);
+        }
+        in_flight[m].fetch_sub(1);
+      });
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(misrouted.load(), 0);
+  for (int m = 0; m < config.num_machines; ++m) {
+    std::vector<int> expected(config.threads_per_machine);
+    for (int w = 0; w < config.threads_per_machine; ++w) expected[w] = w;
+    EXPECT_EQ(worker_log[m], expected) << "machine " << m;
+  }
+}
+
 TEST(ClusterTest, LookupManyReturnsSameValuesAsScalarLookup) {
   ClusterConfig config = TestConfig();
   // Uncached: the repeated LookupMany below re-fetches every key, so the

@@ -433,6 +433,38 @@ TEST(ShardingDeterminismTest, DegradeCostModelIsDeterministic) {
                    b.metrics().GetTime("sim:recovery"));
 }
 
+// Without faults the cache counters are the whole source of cost drift:
+// a machine's workers share its query caches, so two identical runs
+// charge the same hits, trips and bytes only if each machine's cache
+// sees one fixed operation sequence.
+void ExpectSameLookupCosts(sim::Cluster& a, sim::Cluster& b) {
+  for (const char* counter :
+       {"cache_hits", "cache_misses", "kv_lookup_trips", "kv_read_bytes"}) {
+    EXPECT_EQ(a.metrics().Get(counter), b.metrics().Get(counter)) << counter;
+  }
+  EXPECT_GT(a.metrics().Get("cache_hits"), 0);
+  EXPECT_DOUBLE_EQ(a.SimSeconds(), b.SimSeconds());
+}
+
+TEST(ShardingDeterminismTest, FaultFreeCostModelIsDeterministic) {
+  const ClusterShape shape{8, 4, /*batch_lookups=*/true, /*query_cache=*/true};
+  graph::Graph mis_graph =
+      graph::BuildGraph(graph::GenerateRmat(9, 3000, 17));
+  sim::Cluster mis_a = MakeCluster(shape);
+  sim::Cluster mis_b = MakeCluster(shape);
+  EXPECT_EQ(core::AmpcMis(mis_a, mis_graph, 17).in_mis,
+            core::AmpcMis(mis_b, mis_graph, 17).in_mis);
+  ExpectSameLookupCosts(mis_a, mis_b);
+
+  graph::Graph kcore_graph =
+      graph::BuildGraph(graph::GenerateErdosRenyi(400, 2400, 23));
+  sim::Cluster kcore_a = MakeCluster(shape);
+  sim::Cluster kcore_b = MakeCluster(shape);
+  EXPECT_EQ(core::AmpcKCore(kcore_a, kcore_graph).coreness,
+            core::AmpcKCore(kcore_b, kcore_graph).coreness);
+  ExpectSameLookupCosts(kcore_a, kcore_b);
+}
+
 // --- Frontier engine ------------------------------------------------
 // The frontier representation (push pipeline vs bitmap-broadcast pull)
 // is a cost decision, never a value decision: every mode must produce
