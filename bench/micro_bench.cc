@@ -147,9 +147,9 @@ void BM_HIndex(benchmark::State& state) {
   Rng rng(5);
   std::vector<int32_t> base(state.range(0));
   for (auto& v : base) v = static_cast<int32_t>(rng.NextBelow(1000));
+  std::vector<int32_t> counts;
   for (auto _ : state) {
-    std::vector<int32_t> values = base;
-    benchmark::DoNotOptimize(core::HIndex(values));
+    benchmark::DoNotOptimize(core::HIndex(base, counts));
   }
   state.SetItemsProcessed(state.iterations() * base.size());
 }

@@ -48,8 +48,9 @@ MpcKCoreResult MpcKCore(sim::Cluster& cluster, const graph::Graph& g,
     // (3) Recompute h-indices.
     std::vector<int32_t> next(n, 0);
     int64_t changed = 0;
-    for (auto& [v, values] : grouped) {
-      next[v] = core::HIndex(values);
+    std::vector<int32_t> counts;
+    for (const auto& [v, values] : grouped) {
+      next[v] = core::HIndex(values, counts);
     }
     cluster.AccountMapRound("HIndex");
     for (int64_t v = 0; v < n; ++v) {

@@ -1,6 +1,7 @@
 #include "core/kcore.h"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <numeric>
@@ -21,6 +22,26 @@ using graph::NodeId;
 
 using AdjStore = kv::ShardedStore<std::vector<NodeId>>;
 using ValueStore = kv::ShardedStore<int32_t>;
+
+// The h-index of the `d` values value_at(0..d-1) by one counting pass:
+// bucket each value clamped to [0, d] (an h-index never exceeds d),
+// then scan the buckets from the top — the first h whose running count
+// of values >= h reaches h is the answer. `counts` is reused scratch.
+template <typename ValueAt>
+int32_t CountingHIndex(size_t d, ValueAt&& value_at,
+                       std::vector<int32_t>& counts) {
+  counts.assign(d + 1, 0);
+  for (size_t i = 0; i < d; ++i) {
+    const int32_t value = value_at(i);
+    ++counts[value <= 0 ? 0 : std::min(static_cast<size_t>(value), d)];
+  }
+  int32_t at_least = 0;
+  for (size_t h = d; h > 0; --h) {
+    at_least += counts[h];
+    if (at_least >= static_cast<int32_t>(h)) return static_cast<int32_t>(h);
+  }
+  return 0;
+}
 
 /// One worker slice of an h-index round in the sparse (push)
 /// representation: the manual ticket pipeline over per-vertex neighbor
@@ -51,6 +72,7 @@ void HIndexSparseSlice(std::span<const int64_t> items,
   // FIFO and an item's windows are issued contiguously, so the
   // accumulator only ever holds one item's values.
   std::vector<int32_t> neighbor_values;
+  std::vector<int32_t> counts;
   auto settle_oldest = [&] {
     Pending pending = std::move(inflight.front());
     inflight.pop_front();
@@ -59,7 +81,7 @@ void HIndexSparseSlice(std::span<const int64_t> items,
       neighbor_values.push_back(value == nullptr ? 0 : *value);
     }
     if (pending.last_window) {
-      on_result(pending.item, HIndex(neighbor_values));
+      on_result(pending.item, HIndex(neighbor_values, counts));
       neighbor_values.clear();
     }
   };
@@ -90,46 +112,34 @@ void HIndexSparseSlice(std::span<const int64_t> items,
 /// values were shipped by the round's bitmap broadcast + aggregate
 /// exchange, so each vertex resolves its whole neighbor list as a
 /// local sweep (MachineContext::PullMany — bytes, no round trips).
-/// Values, and therefore every on_result, are identical to the sparse
-/// slice's.
+/// The h-index counts straight from the pulled records. Values, and
+/// therefore every on_result, are identical to the sparse slice's.
 template <typename OnResult>
 void HIndexPullSlice(std::span<const int64_t> items,
                      sim::MachineContext& ctx, const AdjStore& adjacency,
                      const ValueStore& values, OnResult&& on_result) {
   std::vector<uint64_t> keys;
-  std::vector<int32_t> neighbor_values;
+  std::vector<int32_t> counts;
   for (const int64_t item : items) {
     const NodeId v = static_cast<NodeId>(item);
     const std::vector<NodeId>* adj = ctx.LookupLocal(adjacency, v);
-    keys.clear();
-    keys.reserve(adj->size());
-    for (const NodeId neighbor : *adj) keys.push_back(neighbor);
+    keys.assign(adj->begin(), adj->end());
     const kv::LookupBatchResult<int32_t> batch =
         ctx.PullMany(values, std::span<const uint64_t>(keys));
-    neighbor_values.clear();
-    for (const int32_t* value : batch.values) {
-      neighbor_values.push_back(value == nullptr ? 0 : *value);
-    }
-    on_result(item, HIndex(neighbor_values));
+    const auto value_at = [&](size_t i) {
+      const int32_t* value = batch.values[i];
+      return value == nullptr ? 0 : *value;
+    };
+    on_result(item, CountingHIndex(batch.values.size(), value_at, counts));
   }
 }
 
 }  // namespace
 
-int32_t HIndex(std::vector<int32_t>& values) {
-  // Count-down histogram computation: h is the largest value with
-  // |{x : x >= h}| >= h; sorting descending makes it the largest i+1
-  // with values[i] >= i+1.
-  std::sort(values.begin(), values.end(), std::greater<int32_t>());
-  int32_t h = 0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    if (values[i] >= static_cast<int32_t>(i) + 1) {
-      h = static_cast<int32_t>(i) + 1;
-    } else {
-      break;
-    }
-  }
-  return h;
+int32_t HIndex(std::span<const int32_t> values,
+               std::vector<int32_t>& counts) {
+  return CountingHIndex(
+      values.size(), [&](size_t i) { return values[i]; }, counts);
 }
 
 KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
@@ -209,30 +219,52 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
             HIndexSparseSlice(items, ctx, adjacency, values, on_result);
           });
     }
-    for (const int64_t v : active) {
-      if (changed.Test(v)) result.coreness[v] = next[v];
-    }
 
     // Next frontier: every vertex with at least one changed neighbor.
-    // Per-chunk discoveries are concatenated in chunk order, so the
-    // list is ascending and schedule-independent.
-    const std::vector<IndexChunk> chunks = SplitIndexChunks(
-        0, n, 2048, DefaultChunksForPool(cluster.pool()));
-    std::vector<std::vector<int64_t>> discovered(chunks.size());
-    ParallelForEachChunk(cluster.pool(), chunks, [&](int64_t c) {
-      for (int64_t u = chunks[c].begin; u < chunks[c].end; ++u) {
-        for (const NodeId neighbor : g.neighbors(static_cast<NodeId>(u))) {
-          if (changed.Test(neighbor)) {
-            discovered[c].push_back(u);
-            break;
-          }
+    // Each changed vertex commits its new coreness and pushes its
+    // neighbors into a bitmap; the adjacency is symmetric, so the bits
+    // set are exactly the vertices with a changed neighbor, at a cost
+    // of the changed vertices' degrees instead of a scan of every
+    // adjacency. The bits are then extracted word chunk by word chunk
+    // into per-chunk ranges of the list (counted first, so the list is
+    // written in place): ascending and schedule-independent.
+    AtomicBitmap reached(n);
+    const std::vector<IndexChunk> active_chunks =
+        SplitIndexChunks(0, static_cast<int64_t>(active.size()), 2048,
+                         DefaultChunksForPool(cluster.pool()));
+    ParallelForEachChunk(cluster.pool(), active_chunks, [&](int64_t c) {
+      for (int64_t i = active_chunks[c].begin; i < active_chunks[c].end;
+           ++i) {
+        const int64_t v = active[i];
+        if (!changed.Test(v)) continue;
+        result.coreness[v] = next[v];
+        for (const NodeId u : g.neighbors(static_cast<NodeId>(v))) {
+          if (!reached.Test(u)) reached.Set(u);
         }
       }
     });
-    active.clear();
-    for (const std::vector<int64_t>& part : discovered) {
-      active.insert(active.end(), part.begin(), part.end());
+    const std::vector<IndexChunk> word_chunks = SplitIndexChunks(
+        0, reached.num_words(), 64, DefaultChunksForPool(cluster.pool()));
+    std::vector<int64_t> offsets(word_chunks.size() + 1, 0);
+    ParallelForEachChunk(cluster.pool(), word_chunks, [&](int64_t c) {
+      int64_t count = 0;
+      for (int64_t w = word_chunks[c].begin; w < word_chunks[c].end; ++w) {
+        count += std::popcount(reached.Word(w));
+      }
+      offsets[c + 1] = count;
+    });
+    for (size_t c = 0; c < word_chunks.size(); ++c) {
+      offsets[c + 1] += offsets[c];
     }
+    active.resize(static_cast<size_t>(offsets.back()));
+    ParallelForEachChunk(cluster.pool(), word_chunks, [&](int64_t c) {
+      int64_t out = offsets[c];
+      for (int64_t w = word_chunks[c].begin; w < word_chunks[c].end; ++w) {
+        for (uint64_t bits = reached.Word(w); bits != 0; bits &= bits - 1) {
+          active[out++] = w * 64 + std::countr_zero(bits);
+        }
+      }
+    });
   }
   return result;
 }

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -44,7 +45,11 @@ KCoreResult AmpcKCore(sim::Cluster& cluster, const graph::Graph& g,
                       const KCoreOptions& options = {});
 
 /// Computes the h-index of `values`: the largest h with at least h
-/// entries >= h. Exposed for tests and the MPC baseline.
-int32_t HIndex(std::vector<int32_t>& values);
+/// entries >= h. One O(values.size()) counting pass, no sort: entries
+/// are clamped to values.size() (negatives count as 0) and the counts
+/// scanned from the top. `counts` is scratch the caller reuses across
+/// calls, so a hot loop allocates nothing. Exposed for tests and the
+/// MPC baseline.
+int32_t HIndex(std::span<const int32_t> values, std::vector<int32_t>& counts);
 
 }  // namespace ampc::core

@@ -130,6 +130,14 @@ class ShardedStore {
     return shards_[ShardOf(key)]->Lookup(map_->local_slot[key]);
   }
 
+  /// Lookup for a caller that already holds `shard` == ShardOf(key) (the
+  /// charged read paths need the shard anyway, so the placement is
+  /// evaluated once per key).
+  const V* LookupOnShard(int shard, uint64_t key) const {
+    if (key >= static_cast<uint64_t>(capacity())) return nullptr;
+    return shards_[shard]->Lookup(map_->local_slot[key]);
+  }
+
   bool Contains(uint64_t key) const { return Lookup(key) != nullptr; }
 
   /// Wire size of the record for `key` (0 when absent).

@@ -71,7 +71,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/frontier.h"
@@ -693,7 +692,9 @@ class Cluster {
     // trade-off.
     std::atomic<int64_t> peak_inflight_keys{0};
     // Charged to the machine whose shard *serves* the lookup (server
-    // side): its NIC ships the record regardless of who asked.
+    // side): its NIC ships the record regardless of who asked. Each
+    // worker's context sums its share per host and adds it here when
+    // its slice ends.
     std::atomic<int64_t> kv_served_bytes{0};
     // Pull-mode (RunPullPhase) traffic: exchange bytes this machine's
     // workers received via PullMany, and the most pull steps
@@ -909,16 +910,21 @@ class MachineContext {
         worker_id_(worker_id),
         rng_(rng_seed),
         destination_seen_(all_counters->size(), 0),
-        pipeline_window_counts_(all_counters->size(), 0) {}
+        pipeline_window_counts_(all_counters->size(), 0),
+        served_by_host_(all_counters->size(), 0) {}
 
   MachineContext(const MachineContext&) = delete;
   MachineContext& operator=(const MachineContext&) = delete;
 
-  // Settles any trips still deferred behind un-awaited tickets and
-  // folds the worker's in-flight-keys watermark into the phase
-  // counters (callers normally drain their tickets; this is the
-  // backstop that keeps the cost model complete either way).
-  ~MachineContext() { FlushPipelineTrips(); }
+  // Settles any trips still deferred behind un-awaited tickets, folds
+  // the worker's in-flight-keys watermark into the phase counters
+  // (callers normally drain their tickets; this is the backstop that
+  // keeps the cost model complete either way), and hands the bytes
+  // this worker's reads made each host serve to the hosts' counters.
+  ~MachineContext() {
+    FlushPipelineTrips();
+    FlushServedBytes();
+  }
 
   int machine_id() const { return machine_id_; }
   int worker_id() const { return worker_id_; }
@@ -970,15 +976,9 @@ class MachineContext {
     // A scalar miss momentarily holds one key in flight on top of any
     // open tickets.
     peak_inflight_keys_ = std::max(peak_inflight_keys_, inflight_keys_ + 1);
-    const V* value = store.Lookup(key);
-    const int64_t bytes =
-        value == nullptr ? kv::kKeyBytes : kv::kKeyBytes + kv::KvByteSize(*value);
+    const V* value = store.LookupOnShard(shard, key);
+    const int64_t bytes = ChargeServed(shard, value);
     counters_->kv_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    // Served by whichever machine currently hosts the shard (the shard's
-    // new owner after a drain migration).
-    Cluster::PhaseCounters& server =
-        (*all_counters_)[cluster_->HostOf(shard)];
-    server.kv_served_bytes.fetch_add(bytes, std::memory_order_relaxed);
     if (cache != nullptr) {
       CountCacheMiss();
       cache->Put(key, epoch, value);
@@ -1029,20 +1029,15 @@ class MachineContext {
           continue;
         }
       }
-      const V* value = store.Lookup(key);
-      const int64_t bytes = value == nullptr
-                                ? kv::kKeyBytes
-                                : kv::kKeyBytes + kv::KvByteSize(*value);
       const int shard = store.ShardOf(key);
+      const V* value = store.LookupOnShard(shard, key);
       if (!destination_seen_[shard]) {
         destination_seen_[shard] = 1;
         touched_destinations_.push_back(shard);
         ++sub_destinations;
       }
       ++sub_misses;
-      ticket.result.bytes += bytes;
-      (*all_counters_)[cluster_->HostOf(shard)].kv_served_bytes.fetch_add(
-          bytes, std::memory_order_relaxed);
+      ticket.result.bytes += ChargeServed(shard, value);
       if (cache != nullptr) cache->Put(key, epoch, value);
       // The scalar (unbatched) client pays its per-miss trip to this
       // destination now, so its straggler exposure is noted per miss;
@@ -1166,27 +1161,28 @@ class MachineContext {
   /// exchange latency is charged once by the phase settle, not per
   /// key. Bytes are charged exactly like a lookup's (client NIC
   /// receives, owning shard's NIC serves), once per distinct key per
-  /// pull step: the exchange ships one copy of each needed record to
-  /// each machine, so duplicates within a step are free. Returned
-  /// values are identical to LookupMany's (values[i] answers keys[i],
-  /// nullptr = absent).
+  /// worker per pull step: the exchange ships one copy of each needed
+  /// record to each machine, so duplicates within a step are free. The
+  /// dedup is by key alone, in a word bitmap sized lazily to the
+  /// largest store capacity pulled; a key past it is absent, costs
+  /// kKeyBytes once per step, and is deduped in a small side list.
+  /// O(1) per key, with no per-key allocation. Returned values
+  /// are identical to LookupMany's (values[i] answers keys[i], nullptr
+  /// = absent).
   template <typename V>
   kv::LookupBatchResult<V> PullMany(const kv::ShardedStore<V>& store,
                                     std::span<const uint64_t> keys) {
     CheckStoreMatchesCluster(store);
     kv::LookupBatchResult<V> result;
     if (keys.empty()) return result;
+    const size_t words = static_cast<size_t>((store.capacity() + 63) / 64);
+    if (exchanged_words_.size() < words) exchanged_words_.resize(words, 0);
     result.values.reserve(keys.size());
     for (const uint64_t key : keys) {
-      const V* value = store.Lookup(key);
+      const int shard = store.ShardOf(key);
+      const V* value = store.LookupOnShard(shard, key);
       result.values.push_back(value);
-      if (!pull_seen_.insert(key).second) continue;  // already exchanged
-      const int64_t bytes = value == nullptr
-                                ? kv::kKeyBytes
-                                : kv::kKeyBytes + kv::KvByteSize(*value);
-      result.bytes += bytes;
-      (*all_counters_)[cluster_->HostOf(store.ShardOf(key))]
-          .kv_served_bytes.fetch_add(bytes, std::memory_order_relaxed);
+      if (ClaimExchange(key)) result.bytes += ChargeServed(shard, value);
     }
     counters_->kv_queries.fetch_add(static_cast<int64_t>(keys.size()),
                                     std::memory_order_relaxed);
@@ -1200,10 +1196,15 @@ class MachineContext {
   /// to every machine. Bumps this worker's step count (the settle
   /// charges the *maximum* over workers: machines advance through the
   /// global steps together, each paying one broadcast slice and one
-  /// exchange per step) and resets the per-step exchange dedup.
+  /// exchange per step) and resets the per-step exchange dedup,
+  /// zeroing only the bitmap words the step set.
   void BeginPullStep() {
     ++pull_steps_;
-    pull_seen_.clear();
+    for (const size_t word : touched_exchanged_words_) {
+      exchanged_words_[word] = 0;
+    }
+    touched_exchanged_words_.clear();
+    exchanged_past_capacity_.clear();
   }
 
   /// Reads the machine-local input record for `key` without charging KV
@@ -1267,6 +1268,52 @@ class MachineContext {
     }
   }
 
+  // Charges the host of `shard` for serving `value` (kKeyBytes for an
+  // absent key) and returns the wire bytes. The shared server-side
+  // charge of Lookup, LookupManyAsync and PullMany: accumulated in this
+  // worker's served_by_host_ and flushed to the hosts' phase counters
+  // when the context ends, instead of one cross-machine atomic per key.
+  // Served by whichever machine currently hosts the shard (the shard's
+  // new owner after a drain migration).
+  template <typename V>
+  int64_t ChargeServed(int shard, const V* value) {
+    const int64_t bytes = value == nullptr
+                              ? kv::kKeyBytes
+                              : kv::kKeyBytes + kv::KvByteSize(*value);
+    served_by_host_[cluster_->HostOf(shard)] += bytes;
+    return bytes;
+  }
+
+  void FlushServedBytes() {
+    for (size_t host = 0; host < served_by_host_.size(); ++host) {
+      if (served_by_host_[host] == 0) continue;
+      (*all_counters_)[host].kv_served_bytes.fetch_add(
+          served_by_host_[host], std::memory_order_relaxed);
+      served_by_host_[host] = 0;
+    }
+  }
+
+  // Claims `key` for the current pull step: true the first time, false
+  // when the step already exchanged it.
+  bool ClaimExchange(uint64_t key) {
+    const uint64_t word = key >> 6;
+    if (word < exchanged_words_.size()) {
+      uint64_t& bits = exchanged_words_[word];
+      const uint64_t mask = uint64_t{1} << (key & 63);
+      if ((bits & mask) != 0) return false;
+      if (bits == 0) touched_exchanged_words_.push_back(word);
+      bits |= mask;
+      return true;
+    }
+    if (std::find(exchanged_past_capacity_.begin(),
+                  exchanged_past_capacity_.end(),
+                  key) != exchanged_past_capacity_.end()) {
+      return false;
+    }
+    exchanged_past_capacity_.push_back(key);
+    return true;
+  }
+
   static void AtomicMaxRelaxed(std::atomic<int64_t>& target, int64_t value) {
     int64_t seen = target.load(std::memory_order_relaxed);
     while (value > seen &&
@@ -1323,10 +1370,17 @@ class MachineContext {
   int64_t outstanding_tickets_ = 0;
   int64_t inflight_keys_ = 0;
   int64_t peak_inflight_keys_ = 0;
-  // Pull-mode state (RunPullPhase): keys already exchanged this pull
-  // step (duplicates are free within a step) and how many steps this
-  // worker has advanced through.
-  std::unordered_set<uint64_t> pull_seen_;
+  // Server-side bytes this worker's reads charged to each host machine
+  // (ChargeServed), flushed by the destructor.
+  std::vector<int64_t> served_by_host_;
+  // Pull-mode state (RunPullPhase): one bit per key already exchanged
+  // this pull step (duplicates are free within a step), the words with
+  // a set bit (BeginPullStep zeroes only those), the absent keys past
+  // the bitmap exchanged this step, and how many steps this worker has
+  // advanced through.
+  std::vector<uint64_t> exchanged_words_;
+  std::vector<size_t> touched_exchanged_words_;
+  std::vector<uint64_t> exchanged_past_capacity_;
   int64_t pull_steps_ = 0;
 };
 

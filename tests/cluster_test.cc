@@ -1405,5 +1405,89 @@ TEST(ClusterTest, HedgingRecoversStragglerTrips) {
   EXPECT_LT(hedged.sim_sec, waited.sim_sec);
 }
 
+// --- Pull-mode exchange charging (MachineContext::PullMany) ----------------
+
+// Pins PullMany's charges inside a RunPullPhase: a key is exchanged (and
+// charged) once per worker per pull step, however often it is pulled in
+// that step; an absent key, in range or past the capacity, costs its key
+// bytes; every pulled key counts as a query; the bytes a shard serves
+// land on its host machine.
+TEST(ClusterTest, PullManyChargesEachKeyOncePerPullStep) {
+  ClusterConfig config;
+  config.num_machines = 2;
+  config.threads_per_machine = 1;
+  Cluster cluster(config);
+  const int64_t capacity = 64;
+  const int64_t written = 32;
+  kv::ShardedStore<int64_t> store = cluster.MakeStore<int64_t>(capacity);
+  cluster.RunKvWritePhase("w", store, written,
+                          [](int64_t k) { return k * 3; });
+
+  // One present key on each shard, an unwritten key inside the key
+  // space, and one past it.
+  uint64_t on_shard[2] = {capacity, capacity};
+  for (uint64_t k = written; k-- > 0;) on_shard[store.ShardOf(k)] = k;
+  ASSERT_LT(on_shard[0], static_cast<uint64_t>(written));
+  ASSERT_LT(on_shard[1], static_cast<uint64_t>(written));
+  const uint64_t a = on_shard[0];
+  const uint64_t b = on_shard[1];
+  const uint64_t absent = written + 8;
+  const uint64_t past = capacity + 5;
+  const int64_t record =
+      kv::kKeyBytes + static_cast<int64_t>(sizeof(int64_t));
+  const int64_t key = kv::kKeyBytes;
+
+  const int64_t reads_before = cluster.metrics().Get("kv_reads");
+  const int64_t bytes_before = cluster.metrics().Get("kv_read_bytes");
+  const int64_t hot_before =
+      cluster.metrics().Get("kv_hot_machine_read_bytes");
+  int slices = 0;
+  const std::vector<int64_t> items = {0};
+  cluster.RunPullPhase(
+      "pull", capacity, items,
+      [&](std::span<const int64_t> slice, MachineContext& ctx) {
+        if (slice.empty()) return;
+        ++slices;
+        ctx.BeginPullStep();
+        const std::vector<uint64_t> first = {a, a, b, absent, a};
+        const kv::LookupBatchResult<int64_t> r1 = ctx.PullMany(
+            store, std::span<const uint64_t>(first));
+        ASSERT_EQ(r1.values.size(), first.size());
+        EXPECT_EQ(*r1.values[0], static_cast<int64_t>(a) * 3);
+        EXPECT_EQ(*r1.values[2], static_cast<int64_t>(b) * 3);
+        EXPECT_EQ(r1.values[3], nullptr);
+        EXPECT_EQ(*r1.values[4], static_cast<int64_t>(a) * 3);
+        EXPECT_EQ(r1.bytes, 2 * record + key);  // a and b once each
+        // Same step, later call: b is already exchanged; `past` is
+        // charged once however often it repeats.
+        const std::vector<uint64_t> second = {b, past, past};
+        const kv::LookupBatchResult<int64_t> r2 = ctx.PullMany(
+            store, std::span<const uint64_t>(second));
+        EXPECT_EQ(r2.values[1], nullptr);
+        EXPECT_EQ(r2.bytes, key);
+        // A new step exchanges again.
+        ctx.BeginPullStep();
+        const std::vector<uint64_t> third = {a, past};
+        const kv::LookupBatchResult<int64_t> r3 = ctx.PullMany(
+            store, std::span<const uint64_t>(third));
+        EXPECT_EQ(r3.bytes, record + key);
+      });
+  EXPECT_EQ(slices, 1);
+
+  const int64_t total = 3 * record + 3 * key;
+  EXPECT_EQ(cluster.metrics().Get("kv_reads") - reads_before, 10);
+  EXPECT_EQ(cluster.metrics().Get("kv_read_bytes") - bytes_before, total);
+  EXPECT_EQ(cluster.metrics().Get("frontier_exchange_bytes"), total);
+
+  std::vector<int64_t> served(2, 0);
+  served[cluster.HostOf(store.ShardOf(a))] += 2 * record;
+  served[cluster.HostOf(store.ShardOf(b))] += record;
+  served[cluster.HostOf(store.ShardOf(absent))] += key;
+  served[cluster.HostOf(store.ShardOf(past))] += 2 * key;
+  EXPECT_EQ(cluster.round_footprints().back().kv_read_bytes, served);
+  EXPECT_EQ(cluster.metrics().Get("kv_hot_machine_read_bytes") - hot_before,
+            std::max(served[0], served[1]));
+}
+
 }  // namespace
 }  // namespace ampc::sim

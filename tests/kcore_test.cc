@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "baselines/mpc_kcore.h"
+#include "common/random.h"
 #include "graph/generators.h"
 #include "seq/kcore.h"
 
@@ -94,16 +99,50 @@ TEST(SeqKCoreTest, EmptyGraph) {
 // ---------------------------------------------------------------------------
 
 TEST(HIndexTest, KnownValues) {
-  std::vector<int32_t> a = {3, 0, 6, 1, 5};
-  EXPECT_EQ(core::HIndex(a), 3);
-  std::vector<int32_t> b = {10, 8, 5, 4, 3};
-  EXPECT_EQ(core::HIndex(b), 4);
-  std::vector<int32_t> empty;
-  EXPECT_EQ(core::HIndex(empty), 0);
-  std::vector<int32_t> zeros = {0, 0, 0};
-  EXPECT_EQ(core::HIndex(zeros), 0);
-  std::vector<int32_t> ones = {1, 1, 1};
-  EXPECT_EQ(core::HIndex(ones), 1);
+  std::vector<int32_t> counts;
+  const std::vector<int32_t> a = {3, 0, 6, 1, 5};
+  EXPECT_EQ(core::HIndex(a, counts), 3);
+  const std::vector<int32_t> b = {10, 8, 5, 4, 3};
+  EXPECT_EQ(core::HIndex(b, counts), 4);
+  const std::vector<int32_t> empty;
+  EXPECT_EQ(core::HIndex(empty, counts), 0);
+  const std::vector<int32_t> zeros = {0, 0, 0};
+  EXPECT_EQ(core::HIndex(zeros, counts), 0);
+  const std::vector<int32_t> ones = {1, 1, 1};
+  EXPECT_EQ(core::HIndex(ones, counts), 1);
+}
+
+// Sort-based reference: sorted descending, the h-index is the largest
+// i + 1 with values[i] >= i + 1.
+int32_t SortedHIndex(std::vector<int32_t> values) {
+  std::sort(values.begin(), values.end(), std::greater<int32_t>());
+  int32_t h = 0;
+  while (h < static_cast<int32_t>(values.size()) && values[h] >= h + 1) ++h;
+  return h;
+}
+
+// The counting pass against the sort on random vectors: lengths from
+// empty up, values from 0 to well past the length (so the clamp to the
+// length is exercised), many duplicates and zeros. One counts buffer is
+// reused across every call, shrinking and growing.
+TEST(HIndexTest, MatchesSortReferenceOnRandomVectors) {
+  Rng rng(2024);
+  std::vector<int32_t> counts;
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t length = rng.NextBelow(48);
+    const uint64_t max_value = 1 + rng.NextBelow(2 * length + 8);
+    std::vector<int32_t> values(length);
+    for (int32_t& value : values) {
+      value = rng.NextBernoulli(0.2)
+                  ? 0
+                  : static_cast<int32_t>(rng.NextBelow(max_value));
+    }
+    EXPECT_EQ(core::HIndex(values, counts), SortedHIndex(values))
+        << "trial " << trial << ", length " << length;
+  }
+  EXPECT_EQ(core::HIndex({}, counts), 0);
+  const std::vector<int32_t> huge = {1 << 30, 1 << 30, 1 << 30};
+  EXPECT_EQ(core::HIndex(huge, counts), 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,12 +183,12 @@ int SynchronousHIndexRounds(const Graph& g) {
   const int64_t n = g.num_nodes();
   std::vector<int32_t> cur(n), next(n);
   for (NodeId v = 0; v < n; ++v) cur[v] = static_cast<int32_t>(g.degree(v));
-  std::vector<int32_t> values;
+  std::vector<int32_t> values, counts;
   for (int rounds = 1;; ++rounds) {
     for (NodeId v = 0; v < n; ++v) {
       values.clear();
       for (const NodeId u : g.neighbors(v)) values.push_back(cur[u]);
-      next[v] = core::HIndex(values);
+      next[v] = core::HIndex(values, counts);
     }
     if (next == cur) return rounds;
     cur.swap(next);

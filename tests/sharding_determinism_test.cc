@@ -463,6 +463,26 @@ TEST(ShardingDeterminismTest, FaultFreeCostModelIsDeterministic) {
   EXPECT_EQ(core::AmpcKCore(kcore_a, kcore_graph).coreness,
             core::AmpcKCore(kcore_b, kcore_graph).coreness);
   ExpectSameLookupCosts(kcore_a, kcore_b);
+
+  // The dense pull path: PullMany's exchange bytes, and the server-side
+  // bytes each worker sums per host and flushes at slice end, must add
+  // up the same on every run.
+  sim::ClusterConfig dense_config;
+  dense_config.num_machines = 8;
+  dense_config.threads_per_machine = 4;
+  dense_config.frontier.mode = FrontierMode::kDense;
+  sim::Cluster dense_a(dense_config);
+  sim::Cluster dense_b(dense_config);
+  EXPECT_EQ(core::AmpcKCore(dense_a, kcore_graph).coreness,
+            core::AmpcKCore(dense_b, kcore_graph).coreness);
+  for (const char* counter :
+       {"kv_read_bytes", "frontier_exchange_bytes",
+        "kv_hot_machine_read_bytes"}) {
+    EXPECT_EQ(dense_a.metrics().Get(counter), dense_b.metrics().Get(counter))
+        << counter;
+  }
+  EXPECT_GT(dense_a.metrics().Get("frontier_exchange_bytes"), 0);
+  EXPECT_DOUBLE_EQ(dense_a.SimSeconds(), dense_b.SimSeconds());
 }
 
 // --- Frontier engine ------------------------------------------------

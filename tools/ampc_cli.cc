@@ -154,14 +154,14 @@ void PrintUsage() {
 }
 
 // Parses a flag's whole value as a T no smaller than `min`; anything
-// else (trailing junk, overflow, an empty string) is a usage error.
+// else (trailing junk, overflow, an empty string, NaN) is a usage error.
 template <typename T>
 T ParseNumber(const std::string& flag, const char* text,
               T min = std::numeric_limits<T>::lowest()) {
   T value{};
   const char* end = text + std::strlen(text);
   const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value < min) {
+  if (ec != std::errc() || ptr != end || !(value >= min)) {
     std::fprintf(stderr, "invalid value for %s: %s\n", flag.c_str(), text);
     PrintUsage();
     std::exit(2);
@@ -203,27 +203,27 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     } else if (flag == "--threads") {
       args->threads = ParseNumber<int>(flag, next(), 1);
     } else if (flag == "--walks") {
-      args->walks = ParseNumber<int>(flag, next());
+      args->walks = ParseNumber<int>(flag, next(), 1);
     } else if (flag == "--no-cache") {
       args->caching = false;
     } else if (flag == "--no-mt") {
       args->multithreading = false;
     } else if (flag == "--fault-rate") {
-      args->fault_rate = ParseNumber<double>(flag, next());
+      args->fault_rate = ParseNumber<double>(flag, next(), 0.0);
     } else if (flag == "--fault-seed") {
       args->fault_seed = ParseNumber<uint64_t>(flag, next());
     } else if (flag == "--replication") {
       args->replication = ParseNumber<int>(flag, next(), 1);
     } else if (flag == "--checkpoint-period") {
-      args->checkpoint_period = ParseNumber<double>(flag, next());
+      args->checkpoint_period = ParseNumber<double>(flag, next(), 0.0);
     } else if (flag == "--machines-per-domain") {
       args->machines_per_domain = ParseNumber<int>(flag, next());
     } else if (flag == "--domain-fault-rate") {
-      args->domain_fault_rate = ParseNumber<double>(flag, next());
+      args->domain_fault_rate = ParseNumber<double>(flag, next(), 0.0);
     } else if (flag == "--warning-lead") {
-      args->warning_lead = ParseNumber<double>(flag, next());
+      args->warning_lead = ParseNumber<double>(flag, next(), 0.0);
     } else if (flag == "--slow-machine-rate") {
-      args->slow_machine_rate = ParseNumber<double>(flag, next());
+      args->slow_machine_rate = ParseNumber<double>(flag, next(), 0.0);
     } else if (flag == "--hedge") {
       args->hedge = true;
     } else if (flag == "--frontier-mode") {
