@@ -149,11 +149,8 @@ void MsfLoop(sim::Cluster& cluster, WeightedEdgeList current,
     // --- SortGraph (shuffle): weight-sorted adjacency -------------------
     WallTimer sort_timer;
     WeightedGraph wg = graph::BuildWeightedGraph(current);
-    wg.SortAdjacenciesByWeight();
-    int64_t graph_bytes = 0;
-    for (int64_t v = 0; v < n; ++v) {
-      graph_bytes += wg.AdjacencyBytes(static_cast<NodeId>(v));
-    }
+    // Sum of wg.AdjacencyBytes(v) over every vertex.
+    const int64_t graph_bytes = 4 * n + 16 * wg.num_arcs();
     cluster.AccountShuffle("SortGraph", graph_bytes, sort_timer.Seconds());
 
     // --- KV-Write --------------------------------------------------------

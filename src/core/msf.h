@@ -2,7 +2,10 @@
 // implementation Section 5.5).
 //
 // Per contraction round:
-//   SortGraph (shuffle)   adjacency sorted by (weight, edge id),
+//   SortGraph (shuffle)   the CSR is built with each adjacency already in
+//                         (weight, edge id) order (graph::BuildWeightedGraph
+//                         groups arcs by owner, then sorts each vertex's
+//                         slice), keeping the lightest arc per neighbor,
 //   KV-Write  (cheap)     written to the DHT,
 //   PrimSearch (map)      every vertex runs Prim's algorithm truncated by
 //                         the three stopping rules of Algorithm 1 —

@@ -1,23 +1,25 @@
 #include "graph/contraction.h"
 
-#include <unordered_map>
-
 #include "common/logging.h"
 
 namespace ampc::graph {
 
 ContractedGraph ContractEdgeList(const WeightedEdgeList& list,
                                  const std::vector<NodeId>& cluster_of) {
-  AMPC_CHECK_EQ(static_cast<int64_t>(cluster_of.size()), list.num_nodes);
+  const int64_t n = list.num_nodes;
+  AMPC_CHECK_EQ(static_cast<int64_t>(cluster_of.size()), n);
+  for (NodeId root : cluster_of) AMPC_CHECK_LT(root, n);
   ContractedGraph out;
 
-  // Compact cluster ids that appear on at least one surviving edge.
-  std::unordered_map<NodeId, NodeId> compact;
+  // compact[root]: compacted id of a cluster root that appears on at
+  // least one surviving edge, numbered in order of first appearance.
+  std::vector<NodeId> compact(n, kInvalidNode);
   auto compact_id = [&](NodeId root) {
-    auto [it, fresh] = compact.emplace(
-        root, static_cast<NodeId>(compact.size()));
-    if (fresh) out.representative.push_back(root);
-    return it->second;
+    if (compact[root] == kInvalidNode) {
+      compact[root] = static_cast<NodeId>(out.representative.size());
+      out.representative.push_back(root);
+    }
+    return compact[root];
   };
 
   for (const WeightedEdge& e : list.edges) {
@@ -27,12 +29,11 @@ ContractedGraph ContractEdgeList(const WeightedEdgeList& list,
     out.list.edges.push_back(
         WeightedEdge{compact_id(ru), compact_id(rv), e.w, e.id});
   }
-  out.list.num_nodes = static_cast<int64_t>(compact.size());
+  out.list.num_nodes = static_cast<int64_t>(out.representative.size());
 
-  out.compact_of_vertex.assign(list.num_nodes, kInvalidNode);
-  for (int64_t v = 0; v < list.num_nodes; ++v) {
-    auto it = compact.find(cluster_of[v]);
-    if (it != compact.end()) out.compact_of_vertex[v] = it->second;
+  out.compact_of_vertex.resize(n);
+  for (int64_t v = 0; v < n; ++v) {
+    out.compact_of_vertex[v] = compact[cluster_of[v]];
   }
   return out;
 }

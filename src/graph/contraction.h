@@ -24,9 +24,11 @@ struct ContractedGraph {
   std::vector<NodeId> representative;
 };
 
-/// Contracts `list` according to `cluster_of` (vertex -> cluster root; the
-/// mapping need not be compact). Parallel edges are kept (the MSF
-/// algorithms tolerate them); self-loops are removed.
+/// Contracts `list` according to `cluster_of` (vertex -> cluster root, a
+/// vertex id below list.num_nodes; the mapping need not be compact).
+/// Compacted ids follow the order in which clusters first appear on a
+/// surviving edge. Parallel edges are kept (the MSF algorithms tolerate
+/// them); self-loops are removed.
 ContractedGraph ContractEdgeList(const WeightedEdgeList& list,
                                  const std::vector<NodeId>& cluster_of);
 

@@ -1,7 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <numeric>
+#include <tuple>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -11,23 +11,65 @@
 namespace ampc::graph {
 namespace {
 
-// Computes per-node arc counts for a symmetrized edge list.
-std::vector<uint64_t> CountDegrees(int64_t n, std::span<const NodeId> us,
-                                   std::span<const NodeId> vs,
-                                   bool remove_self_loops) {
-  std::vector<uint64_t> deg(n, 0);
-  for (size_t i = 0; i < us.size(); ++i) {
-    if (remove_self_loops && us[i] == vs[i]) continue;
-    ++deg[us[i]];
-    ++deg[vs[i]];
-  }
-  return deg;
-}
-
 std::vector<uint64_t> ExclusiveScan(const std::vector<uint64_t>& deg) {
   std::vector<uint64_t> offsets(deg.size() + 1, 0);
   for (size_t i = 0; i < deg.size(); ++i) offsets[i + 1] = offsets[i] + deg[i];
   return offsets;
+}
+
+// Counting scatter by owner: fills `arcs` so that slice
+// [offsets[v], offsets[v + 1]) holds make(e, other endpoint) for every
+// edge e incident to v, in edge-list order, and returns the offsets.
+template <typename E, typename Arc, typename MakeArc>
+std::vector<uint64_t> ScatterByOwner(int64_t n, const std::vector<E>& edges,
+                                     bool remove_self_loops,
+                                     std::vector<Arc>& arcs, MakeArc make) {
+  std::vector<uint64_t> deg(n, 0);
+  for (const E& e : edges) {
+    AMPC_CHECK_LT(e.u, n);
+    AMPC_CHECK_LT(e.v, n);
+    if (remove_self_loops && e.u == e.v) continue;
+    ++deg[e.u];
+    ++deg[e.v];
+  }
+  std::vector<uint64_t> offsets = ExclusiveScan(deg);
+  std::vector<uint64_t>& cursor = deg;
+  std::copy(offsets.begin(), offsets.end() - 1, cursor.begin());
+  arcs.resize(offsets.back());
+  for (const E& e : edges) {
+    if (remove_self_loops && e.u == e.v) continue;
+    arcs[cursor[e.u]++] = make(e, e.v);
+    arcs[cursor[e.v]++] = make(e, e.u);
+  }
+  return offsets;
+}
+
+// Runs fn(v) for every vertex v, in parallel over vertex ranges of about
+// equal arc counts, so a skewed degree distribution still spreads its
+// slices across the pool. A single hub's slice stays on one thread.
+template <typename Fn>
+void ForEachSlice(const std::vector<uint64_t>& offsets, Fn fn) {
+  constexpr uint64_t kArcGrain = 1 << 14;
+  ThreadPool& pool = ThreadPool::Global();
+  const int64_t n = static_cast<int64_t>(offsets.size()) - 1;
+  const int64_t parts = std::clamp<int64_t>(
+      static_cast<int64_t>(offsets.back() / kArcGrain), 1,
+      DefaultChunksForPool(pool));
+  std::vector<IndexChunk> chunks;
+  int64_t lo = 0;
+  for (int64_t c = 1; c <= parts; ++c) {
+    const uint64_t target = offsets.back() * c / parts;
+    const int64_t hi =
+        c == parts ? n
+                   : std::lower_bound(offsets.begin() + lo,
+                                      offsets.end() - 1, target) -
+                         offsets.begin();
+    if (hi > lo) chunks.push_back({lo, hi});
+    lo = hi;
+  }
+  ParallelForEachChunk(pool, chunks, [&](int64_t c) {
+    for (int64_t v = chunks[c].begin; v < chunks[c].end; ++v) fn(v);
+  });
 }
 
 }  // namespace
@@ -50,189 +92,79 @@ int64_t WeightedGraph::max_degree() const {
 
 Graph BuildGraph(const EdgeList& list, const BuildOptions& options) {
   const int64_t n = list.num_nodes;
-  for (const Edge& e : list.edges) {
-    AMPC_CHECK_LT(e.u, n);
-    AMPC_CHECK_LT(e.v, n);
-  }
-  std::vector<NodeId> us(list.edges.size()), vs(list.edges.size());
-  for (size_t i = 0; i < list.edges.size(); ++i) {
-    us[i] = list.edges[i].u;
-    vs[i] = list.edges[i].v;
-  }
-
-  std::vector<uint64_t> deg =
-      CountDegrees(n, us, vs, options.remove_self_loops);
-  std::vector<uint64_t> offsets = ExclusiveScan(deg);
-
-  // One global sort keyed by (owner, neighbor) replaces per-vertex sorts:
-  // a hub vertex's adjacency no longer sorts on a single thread, so
-  // skewed degree distributions parallelize as well as uniform ones.
-  struct DirArc {
-    NodeId from;
-    NodeId to;
-  };
-  std::vector<DirArc> arcs;
-  arcs.reserve(offsets.back());
-  for (size_t i = 0; i < us.size(); ++i) {
-    if (options.remove_self_loops && us[i] == vs[i]) continue;
-    arcs.push_back(DirArc{us[i], vs[i]});
-    arcs.push_back(DirArc{vs[i], us[i]});
-  }
-  ParallelSort(ThreadPool::Global(), arcs,
-               [](const DirArc& a, const DirArc& b) {
-                 if (a.from != b.from) return a.from < b.from;
-                 return a.to < b.to;
-               });
-  std::vector<NodeId> adjacency(offsets.back());
-  ParallelForChunked(ThreadPool::Global(), 0,
-                     static_cast<int64_t>(arcs.size()), 4096,
-                     [&](int64_t lo, int64_t hi) {
-                       for (int64_t i = lo; i < hi; ++i) {
-                         adjacency[i] = arcs[i].to;
-                       }
-                     });
+  std::vector<NodeId> arcs;
+  const std::vector<uint64_t> slices =
+      ScatterByOwner(n, list.edges, options.remove_self_loops, arcs,
+                     [](const Edge&, NodeId to) { return to; });
+  std::vector<uint64_t> kept(n);
+  ForEachSlice(slices, [&](int64_t v) {
+    auto begin = arcs.begin() + slices[v];
+    auto end = arcs.begin() + slices[v + 1];
+    std::sort(begin, end);
+    if (options.dedup) end = std::unique(begin, end);
+    kept[v] = end - begin;
+  });
 
   Graph g;
-  if (!options.dedup) {
-    g.offsets_ = std::move(offsets);
-    g.adjacency_ = std::move(adjacency);
+  g.offsets_ = ExclusiveScan(kept);
+  if (g.offsets_.back() == arcs.size()) {
+    g.adjacency_ = std::move(arcs);  // nothing dropped: already packed
     return g;
   }
-
-  // Dedup within each sorted adjacency, then compact.
-  std::vector<uint64_t> new_deg(n, 0);
-  for (int64_t v = 0; v < n; ++v) {
-    auto begin = adjacency.begin() + offsets[v];
-    auto end = adjacency.begin() + offsets[v + 1];
-    new_deg[v] = static_cast<uint64_t>(std::unique(begin, end) - begin);
-  }
-  std::vector<uint64_t> new_offsets = ExclusiveScan(new_deg);
-  std::vector<NodeId> compact(new_offsets.back());
-  for (int64_t v = 0; v < n; ++v) {
-    std::copy_n(adjacency.begin() + offsets[v], new_deg[v],
-                compact.begin() + new_offsets[v]);
-  }
-  g.offsets_ = std::move(new_offsets);
-  g.adjacency_ = std::move(compact);
+  g.adjacency_.resize(g.offsets_.back());
+  ForEachSlice(slices, [&](int64_t v) {
+    std::copy_n(arcs.begin() + slices[v], kept[v],
+                g.adjacency_.begin() + g.offsets_[v]);
+  });
   return g;
 }
 
 WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
                                  const BuildOptions& options) {
   const int64_t n = list.num_nodes;
-  for (const WeightedEdge& e : list.edges) {
-    AMPC_CHECK_LT(e.u, n);
-    AMPC_CHECK_LT(e.v, n);
-  }
-
-  std::vector<uint64_t> deg(n, 0);
-  for (const WeightedEdge& e : list.edges) {
-    if (options.remove_self_loops && e.u == e.v) continue;
-    ++deg[e.u];
-    ++deg[e.v];
-  }
-  std::vector<uint64_t> offsets = ExclusiveScan(deg);
-
-  // Global (owner, neighbor, weight, id) sort instead of per-vertex
-  // sorts, for the same skew-robustness as BuildGraph above.
   struct Arc {
-    NodeId from;
-    NodeId to;
     Weight w;
     EdgeId id;
+    NodeId to;
   };
   std::vector<Arc> arcs;
-  arcs.reserve(offsets.back());
-  for (const WeightedEdge& e : list.edges) {
-    if (options.remove_self_loops && e.u == e.v) continue;
-    arcs.push_back(Arc{e.u, e.v, e.w, e.id});
-    arcs.push_back(Arc{e.v, e.u, e.w, e.id});
-  }
-  ParallelSort(ThreadPool::Global(), arcs,
-               [](const Arc& a, const Arc& b) {
-                 if (a.from != b.from) return a.from < b.from;
-                 if (a.to != b.to) return a.to < b.to;
-                 if (a.w != b.w) return a.w < b.w;
-                 return a.id < b.id;
-               });
-
-  std::vector<uint64_t> new_deg(n, 0);
-  if (options.dedup) {
-    for (int64_t v = 0; v < n; ++v) {
-      uint64_t count = 0;
-      NodeId prev = kInvalidNode;
-      for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-        if (arcs[i].to != prev) {
-          ++count;
-          prev = arcs[i].to;
-        }
-      }
-      new_deg[v] = count;
+  const std::vector<uint64_t> slices = ScatterByOwner(
+      n, list.edges, options.remove_self_loops, arcs,
+      [](const WeightedEdge& e, NodeId to) { return Arc{e.w, e.id, to}; });
+  std::vector<uint64_t> kept(n);
+  ForEachSlice(slices, [&](int64_t v) {
+    auto begin = arcs.begin() + slices[v];
+    auto end = arcs.begin() + slices[v + 1];
+    if (options.dedup) {
+      // The lightest (w, id) arc to each neighbor survives.
+      std::sort(begin, end, [](const Arc& a, const Arc& b) {
+        return std::tie(a.to, a.w, a.id) < std::tie(b.to, b.w, b.id);
+      });
+      end = std::unique(begin, end, [](const Arc& a, const Arc& b) {
+        return a.to == b.to;
+      });
     }
-  } else {
-    for (int64_t v = 0; v < n; ++v) new_deg[v] = offsets[v + 1] - offsets[v];
-  }
+    std::sort(begin, end, [](const Arc& a, const Arc& b) {
+      return std::tie(a.w, a.id, a.to) < std::tie(b.w, b.id, b.to);
+    });
+    kept[v] = end - begin;
+  });
 
-  std::vector<uint64_t> new_offsets = ExclusiveScan(new_deg);
   WeightedGraph g;
-  g.offsets_ = new_offsets;
-  g.adjacency_.resize(new_offsets.back());
-  g.weights_.resize(new_offsets.back());
-  g.edge_ids_.resize(new_offsets.back());
-  for (int64_t v = 0; v < n; ++v) {
-    uint64_t out = new_offsets[v];
-    NodeId prev = kInvalidNode;
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      if (options.dedup && arcs[i].to == prev) continue;
-      prev = arcs[i].to;
-      g.adjacency_[out] = arcs[i].to;
-      g.weights_[out] = arcs[i].w;
-      g.edge_ids_[out] = arcs[i].id;
-      ++out;
+  g.offsets_ = ExclusiveScan(kept);
+  g.adjacency_.resize(g.offsets_.back());
+  g.weights_.resize(g.offsets_.back());
+  g.edge_ids_.resize(g.offsets_.back());
+  ForEachSlice(slices, [&](int64_t v) {
+    for (uint64_t i = 0; i < kept[v]; ++i) {
+      const Arc& a = arcs[slices[v] + i];
+      const uint64_t out = g.offsets_[v] + i;
+      g.adjacency_[out] = a.to;
+      g.weights_[out] = a.w;
+      g.edge_ids_[out] = a.id;
     }
-    AMPC_CHECK_EQ(out, new_offsets[v + 1]);
-  }
+  });
   return g;
-}
-
-void WeightedGraph::SortAdjacenciesByWeight() {
-  const int64_t n = num_nodes();
-  // One global sort keyed by (owner, weight, id) replaces per-vertex
-  // sorts, the same skew-robustness pattern as BuildWeightedGraph: a hub
-  // vertex's adjacency no longer sorts on a single thread. Offsets are
-  // untouched, so scattering the sorted arcs back by position restores
-  // each vertex's slice in weight order.
-  struct Arc {
-    NodeId from;
-    NodeId to;
-    Weight w;
-    EdgeId id;
-  };
-  std::vector<Arc> arcs(adjacency_.size());
-  ParallelForChunked(
-      ThreadPool::Global(), 0, n, 512, [&](int64_t lo, int64_t hi) {
-        for (int64_t v = lo; v < hi; ++v) {
-          for (uint64_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-            arcs[i] = Arc{static_cast<NodeId>(v), adjacency_[i],
-                          weights_[i], edge_ids_[i]};
-          }
-        }
-      });
-  ParallelSort(ThreadPool::Global(), arcs,
-               [](const Arc& a, const Arc& b) {
-                 if (a.from != b.from) return a.from < b.from;
-                 if (a.w != b.w) return a.w < b.w;
-                 return a.id < b.id;
-               });
-  ParallelForChunked(
-      ThreadPool::Global(), 0, static_cast<int64_t>(arcs.size()), 4096,
-      [&](int64_t lo, int64_t hi) {
-        for (int64_t i = lo; i < hi; ++i) {
-          adjacency_[i] = arcs[i].to;
-          weights_[i] = arcs[i].w;
-          edge_ids_[i] = arcs[i].id;
-        }
-      });
 }
 
 Weight WeightedGraph::MinWeight() const {

@@ -56,8 +56,8 @@ struct WeightedEdgeList {
 struct BuildOptions {
   /// Drop (u, u) edges.
   bool remove_self_loops = true;
-  /// Keep a single copy of parallel edges per adjacency (first wins for
-  /// weighted graphs; adjacency is sorted by neighbor id first).
+  /// Keep one arc per (owner, neighbor) pair; for weighted graphs the
+  /// lightest by (weight, edge id) survives.
   bool dedup = true;
 };
 
@@ -97,7 +97,10 @@ class Graph {
 };
 
 /// A symmetric weighted graph in CSR form; every arc carries the weight and
-/// the undirected edge id it came from.
+/// the undirected edge id it came from. Each adjacency is ordered by
+/// (weight, edge id) ascending, ties by neighbor id — the layout the AMPC
+/// MSF algorithm stores in the KV store (paper §5.5: "sorts the edges
+/// incident to each vertex by their weights").
 class WeightedGraph {
  public:
   WeightedGraph() = default;
@@ -130,11 +133,6 @@ class WeightedGraph {
         degree(v) * (sizeof(NodeId) + sizeof(Weight) + sizeof(EdgeId)));
   }
 
-  /// Sorts every adjacency in place by (weight, edge id) ascending — the
-  /// layout the AMPC MSF algorithm stores in the KV store (paper §5.5:
-  /// "sorts the edges incident to each vertex by their weights").
-  void SortAdjacenciesByWeight();
-
   /// Returns the minimum edge weight; 0 for an edgeless graph.
   Weight MinWeight() const;
 
@@ -152,7 +150,8 @@ class WeightedGraph {
 /// every edge are materialized; adjacencies are sorted by neighbor id.
 Graph BuildGraph(const EdgeList& list, const BuildOptions& options = {});
 
-/// Weighted variant; arcs carry (weight, edge id) of the defining edge.
+/// Weighted variant; arcs carry (weight, edge id) of the defining edge, and
+/// adjacencies come out in (weight, edge id, neighbor) order.
 WeightedGraph BuildWeightedGraph(const WeightedEdgeList& list,
                                  const BuildOptions& options = {});
 

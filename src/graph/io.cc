@@ -16,6 +16,22 @@ Status OpenFailure(const std::string& path) {
   return Status::IoError("cannot open file: " + path);
 }
 
+// Node ids run below this count; kInvalidNode itself is reserved.
+constexpr uint64_t kMaxNodes = kInvalidNode;
+
+Status CheckNodeCount(uint64_t n, const std::string& path) {
+  if (n <= kMaxNodes) return Status::OK();
+  return Status::InvalidArgument("node count " + std::to_string(n) +
+                                 " exceeds the 32-bit NodeId range: " + path);
+}
+
+Status CheckNodeIds(int64_t u, int64_t v, const std::string& path,
+                    int64_t line_no) {
+  if (static_cast<uint64_t>(std::max(u, v)) < kMaxNodes) return Status::OK();
+  return Status::InvalidArgument("node id beyond the 32-bit NodeId range at " +
+                                 path + ":" + std::to_string(line_no));
+}
+
 }  // namespace
 
 StatusOr<EdgeList> ReadEdgeListText(const std::string& path) {
@@ -34,6 +50,9 @@ StatusOr<EdgeList> ReadEdgeListText(const std::string& path) {
       std::string word;
       if (hs >> word && word == "nodes") {
         hs >> declared_nodes;
+        if (declared_nodes > 0) {
+          AMPC_RETURN_IF_ERROR(CheckNodeCount(declared_nodes, path));
+        }
       }
       continue;
     }
@@ -43,6 +62,7 @@ StatusOr<EdgeList> ReadEdgeListText(const std::string& path) {
       return Status::InvalidArgument("bad edge at " + path + ":" +
                                      std::to_string(line_no));
     }
+    AMPC_RETURN_IF_ERROR(CheckNodeIds(u, v, path, line_no));
     max_id = std::max({max_id, u, v});
     list.edges.push_back(
         Edge{static_cast<NodeId>(u), static_cast<NodeId>(v)});
@@ -71,6 +91,9 @@ StatusOr<WeightedEdgeList> ReadWeightedEdgeListText(const std::string& path) {
       std::string word;
       if (hs >> word && word == "nodes") {
         hs >> declared_nodes;
+        if (declared_nodes > 0) {
+          AMPC_RETURN_IF_ERROR(CheckNodeCount(declared_nodes, path));
+        }
       }
       continue;
     }
@@ -81,6 +104,7 @@ StatusOr<WeightedEdgeList> ReadWeightedEdgeListText(const std::string& path) {
       return Status::InvalidArgument("bad weighted edge at " + path + ":" +
                                      std::to_string(line_no));
     }
+    AMPC_RETURN_IF_ERROR(CheckNodeIds(u, v, path, line_no));
     max_id = std::max({max_id, u, v});
     list.edges.push_back(WeightedEdge{static_cast<NodeId>(u),
                                       static_cast<NodeId>(v), w,
@@ -151,6 +175,7 @@ StatusOr<EdgeList> ReadEdgeListBinary(const std::string& path) {
     return Status::InvalidArgument("edge count " + std::to_string(m) +
                                    " exceeds file size: " + path);
   }
+  AMPC_RETURN_IF_ERROR(CheckNodeCount(n, path));
   EdgeList list;
   list.num_nodes = static_cast<int64_t>(n);
   list.edges.resize(m);

@@ -55,6 +55,23 @@ TEST(ContractionTest, RepresentativeTracksClusterRoot) {
   }
 }
 
+TEST(ContractionTest, CompactIdsFollowFirstAppearance) {
+  WeightedEdgeList list;
+  list.num_nodes = 6;
+  list.edges = {
+      {4, 5, 1.0, 0}, {0, 1, 2.0, 1}, {2, 5, 3.0, 2}, {3, 2, 4.0, 3}};
+  std::vector<NodeId> cluster_of = {0, 0, 5, 3, 4, 5};
+  ContractedGraph c = ContractEdgeList(list, cluster_of);
+  // Roots get ids in order of first appearance on a surviving edge:
+  // 4, 5, 3. Root 0's only edge is intra-cluster, so it is dropped.
+  EXPECT_EQ(c.representative, (std::vector<NodeId>{4, 5, 3}));
+  EXPECT_EQ(c.compact_of_vertex,
+            (std::vector<NodeId>{kInvalidNode, kInvalidNode, 1, 2, 0, 1}));
+  ASSERT_EQ(c.list.edges.size(), 2u);
+  EXPECT_EQ(c.list.edges[0], (WeightedEdge{0, 1, 1.0, 0}));
+  EXPECT_EQ(c.list.edges[1], (WeightedEdge{2, 1, 4.0, 3}));
+}
+
 TEST(ContractionTest, ParallelEdgesKept) {
   WeightedEdgeList list;
   list.num_nodes = 4;

@@ -131,6 +131,65 @@ TEST_F(IoTest, BinaryEdgeBeyondNodeCountRejected) {
   EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
 }
 
+// 4294967295 is kInvalidNode, the first id a NodeId cannot hold; it used
+// to be narrowed silently and, with no `# nodes` line, to set num_nodes
+// to about 4.3G.
+TEST_F(IoTest, TextIdBeyondNodeIdRangeRejected) {
+  for (const char* line : {"0 4294967295\n", "4294967296 1\n",
+                           "# nodes 5\n1 4294967299\n"}) {
+    {
+      std::ofstream out(Path("wide.txt"));
+      out << line;
+    }
+    auto read = ReadEdgeListText(Path("wide.txt"));
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  {
+    std::ofstream out(Path("wide_w.txt"));
+    out << "0 4294967295 1.5\n";
+  }
+  auto read = ReadWeightedEdgeListText(Path("wide_w.txt"));
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(IoTest, TextIdAtTopOfNodeIdRangeAccepted) {
+  {
+    std::ofstream out(Path("top.txt"));
+    out << "0 4294967294\n";
+  }
+  auto read = ReadEdgeListText(Path("top.txt"));
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->num_nodes, int64_t{4294967295});
+  EXPECT_EQ(read->edges[0].v, NodeId{4294967294});
+}
+
+TEST_F(IoTest, DeclaredNodeCountBeyondNodeIdRangeRejected) {
+  {
+    std::ofstream out(Path("count.txt"));
+    out << "# nodes 4294967296\n0 1\n";
+  }
+  EXPECT_EQ(ReadEdgeListText(Path("count.txt")).status().code(),
+            StatusCode::kInvalidArgument);
+  {
+    std::ofstream out(Path("count_w.txt"));
+    out << "# nodes 4294967296\n0 1 2.0\n";
+  }
+  EXPECT_EQ(ReadWeightedEdgeListText(Path("count_w.txt")).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(IoTest, BinaryNodeCountBeyondNodeIdRangeRejected) {
+  {
+    std::ofstream out(Path("count.bin"), std::ios::binary);
+    const uint64_t header[3] = {0x414d504347524148ULL, uint64_t{1} << 32, 1};
+    const Edge edge{0, 1};
+    out.write(reinterpret_cast<const char*>(header), sizeof(header));
+    out.write(reinterpret_cast<const char*>(&edge), sizeof(edge));
+  }
+  auto read = ReadEdgeListBinary(Path("count.bin"));
+  EXPECT_EQ(read.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(IoTest, CommentsAndBlankLinesIgnored) {
   {
     std::ofstream out(Path("c.txt"));
